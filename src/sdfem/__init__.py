@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .analysis import (
     DiscreteFunction,
     ErrorReport,
-    RegionSel,
     error_norm,
     interpolant,
     layer_integral_oracle,
@@ -14,16 +13,15 @@ from .analysis import (
     rate,
     sd_norm_discrete,
 )
-from .discretization import DofMap, QuadratureRule, SparseSystem, assemble_system
+from .discretization import QuadratureRule, SparseSystem, assemble_system
 from .harness import ExperimentConfig, TableArtifact, emit_table, run_experiment, run_single
 from .mesh import (
     Axis1D,
     AxisSpec,
     InvalidSpec,
     OutOfDomain,
-    Region,
+    RegionSel,
     ShishkinMesh2D,
-    SubRegion,
     build_axis,
     build_mesh,
     classify_point,

@@ -7,52 +7,19 @@ and cells are never split.
 """
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import QuadratureRule, _cell_geometry
-from .mesh import Region, ShishkinMesh2D, SubRegion
+from .discretization import QuadratureRule, cell_points
+from .mesh import RegionSel, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
 
 
-class UnknownRegion(ValueError):
-    pass
-
-
 class NonpositiveError(ValueError):
     pass
-
-
-class RegionSel(enum.Enum):
-    GLOBAL = "global"
-    OMEGA_S = "omega_s"
-    OMEGA_S_EPS = "omega_s_eps"
-    OMEGA_S_EPS_COMPLEMENT = "omega_s_eps_complement"
-    OMEGA_X = "omega_x"
-    OMEGA_Y = "omega_y"
-    OMEGA_XY = "omega_xy"
-
-
-def _region_mask(mesh: ShishkinMesh2D, region: RegionSel) -> np.ndarray:
-    if region is RegionSel.GLOBAL:
-        return mesh.region_mask(None)
-    if region is RegionSel.OMEGA_S:
-        return mesh.region_mask(Region.OMEGA_S)
-    if region is RegionSel.OMEGA_S_EPS:
-        return mesh.region_mask(Region.OMEGA_S, SubRegion.INNER)
-    if region is RegionSel.OMEGA_S_EPS_COMPLEMENT:
-        return mesh.region_mask(Region.OMEGA_S, SubRegion.STRIP)
-    if region is RegionSel.OMEGA_X:
-        return mesh.region_mask(Region.OMEGA_X)
-    if region is RegionSel.OMEGA_Y:
-        return mesh.region_mask(Region.OMEGA_Y)
-    if region is RegionSel.OMEGA_XY:
-        return mesh.region_mask(Region.OMEGA_XY)
-    raise UnknownRegion(str(region))
 
 
 @dataclass(frozen=True)
@@ -127,42 +94,27 @@ class ErrorComputation:
         self.problem = problem
         exact = problem.require_exact() if use_exact else None
 
-        WX, WY, LX, LY, SLX, SLY, I, J = _cell_geometry(mesh)
-        jac = WX * WY / 4.0
-        in_omega_s = (I < mesh.N // 2) & (J < mesh.N // 2)
-        v00, v10, v11, v01 = u_h.corner_values()
-        rule = QuadratureRule.gauss(quad_order)
+        in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
+        corners = u_h.corner_values()
         mu0 = problem.mu0
 
-        grad2 = np.zeros_like(WX)
-        l2 = np.zeros_like(WX)
-        stab = np.zeros_like(WX)
-        for a, pa in enumerate(rule.points_1d):
-            for b, pb in enumerate(rule.points_1d):
-                w2 = rule.weights_1d[a] * rule.weights_1d[b] * jac
-                ax_ = 0.5 * (1.0 + pa)
-                ay_ = 0.5 * (1.0 + pb)
-                X = LX + ax_ * WX
-                Y = LY + ay_ * WY
-                SX = SLX - ax_ * WX
-                SY = SLY - ay_ * WY
-                nx0, nx1 = 1.0 - ax_, ax_
-                ny0, ny1 = 1.0 - ay_, ay_
-                uh = (v00 * nx0 * ny0 + v10 * nx1 * ny0
-                      + v11 * nx1 * ny1 + v01 * nx0 * ny1)
-                uh_x = ((v10 - v00) * ny0 + (v11 - v01) * ny1) / WX
-                uh_y = ((v01 - v00) * nx0 + (v11 - v10) * nx1) / WY
-                if exact is not None:
-                    e = np.asarray(exact.value(X, Y, SX, SY)) - uh
-                    gx_ex, gy_ex = exact.gradient(X, Y, SX, SY)
-                    ex = np.asarray(gx_ex) - uh_x
-                    ey = np.asarray(gy_ex) - uh_y
-                else:
-                    e, ex, ey = uh, uh_x, uh_y
-                grad2 += w2 * (ex * ex + ey * ey)
-                l2 += w2 * e * e
-                conv = problem.b1(X, Y) * ex + problem.b2(X, Y) * ey
-                stab += w2 * delta_field.evaluate_cells(in_omega_s, X, Y) * conv * conv
+        grad2 = np.zeros(mesh.N ** 2)
+        l2 = np.zeros(mesh.N ** 2)
+        stab = np.zeros(mesh.N ** 2)
+        for p in cell_points(mesh, QuadratureRule.gauss(quad_order)):
+            uh = p.value(corners)
+            uh_x, uh_y = p.gradient(corners)
+            if exact is not None:
+                e = np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - uh
+                gx_ex, gy_ex = exact.gradient(p.X, p.Y, p.SX, p.SY)
+                ex = np.asarray(gx_ex) - uh_x
+                ey = np.asarray(gy_ex) - uh_y
+            else:
+                e, ex, ey = uh, uh_x, uh_y
+            grad2 += p.weight * (ex * ex + ey * ey)
+            l2 += p.weight * e * e
+            conv = problem.b1(p.X, p.Y) * ex + problem.b2(p.X, p.Y) * ey
+            stab += p.weight * delta_field.evaluate_cells(in_omega_s, p.X, p.Y) * conv * conv
 
         self.cell_eps_grad2 = problem.epsilon * grad2
         self.cell_mu_l2 = mu0 * l2
@@ -181,7 +133,7 @@ class ErrorComputation:
             self.nodal_abs_err = np.abs(u_h.values)
 
     def report(self, region: RegionSel = RegionSel.GLOBAL) -> ErrorReport:
-        mask = _region_mask(self.mesh, region)
+        mask = self.mesh.region_mask(region)
         eg = float(np.sum(self.cell_eps_grad2[mask]))
         ml = float(np.sum(self.cell_mu_l2[mask]))
         st = float(np.sum(self.cell_stab2[mask]))
@@ -318,32 +270,18 @@ def pointwise_error_grid(
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be >= 1")
     exact = problem.require_exact()
-    mesh = u_h.mesh
-    N = mesh.N
     s = samples_per_cell
-    WX, WY, LX, LY, SLX, SLY, I, J = _cell_geometry(mesh)
-    v00, v10, v11, v01 = u_h.corner_values()
-
-    alphas = (np.arange(s) + 0.5) / s
-    xs, ys, sxs, sys, errs = [], [], [], [], []
-    for ab in alphas:
-        for aa in alphas:
-            X = LX + aa * WX
-            Y = LY + ab * WY
-            SX = SLX - aa * WX
-            SY = SLY - ab * WY
-            uh = (v00 * (1 - aa) * (1 - ab) + v10 * aa * (1 - ab)
-                  + v11 * aa * ab + v01 * (1 - aa) * ab)
-            err = np.abs(np.asarray(exact.value(X, Y, SX, SY)) - uh)
-            xs.append(X)
-            ys.append(Y)
-            sxs.append(SX)
-            sys.append(SY)
-            errs.append(err)
+    corners = u_h.corner_values()
+    # centres of an s x s split of each cell: the composite midpoint rule
+    midpoints = QuadratureRule(points=(np.arange(s) + 0.5) / s, weights=np.full(s, 1.0 / s))
+    pts = list(cell_points(u_h.mesh, midpoints))
+    pts = [pts[ia * s + ib] for ib in range(s) for ia in range(s)]  # x fastest
+    errs = [np.abs(np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - p.value(corners))
+            for p in pts]
     return ErrorGrid(
-        x=np.concatenate(xs),
-        y=np.concatenate(ys),
-        sigma_x=np.concatenate(sxs),
-        sigma_y=np.concatenate(sys),
+        x=np.concatenate([p.X for p in pts]),
+        y=np.concatenate([p.Y for p in pts]),
+        sigma_x=np.concatenate([p.SX for p in pts]),
+        sigma_y=np.concatenate([p.SY for p in pts]),
         abs_error=np.concatenate(errs),
     )

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import RegionSel, interpolant, layer_integral_oracle, rate, sd_norm_discrete
 from .discretization import assemble_system
 from .harness import (
     ConfigError,
@@ -24,8 +23,10 @@ from .harness import (
     build_case,
     emit_error_grid,
     emit_table,
+    interpolation_spreads,
+    layer_integral_errors,
+    min_coercivity_ratio,
     run_experiment,
-    run_single,
 )
 from .mesh import InvalidSpec, dump_mesh
 from .problem import PROBLEMS
@@ -125,51 +126,18 @@ def cmd_verify(args) -> int:
         status = "PASS" if passed else "FAIL"
         print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
 
-    # closed-form layer integrals vs composite quadrature
     for eps in (1e-2, 1e-4):
         for N in (8, 16):
-            problem, mesh = build_case("paper-benchmark", N, eps)
-            o = layer_integral_oracle(eps, problem.beta1, mesh.x_s, mesh.x_t, mesh.x_axis.H)
-            def relerr(a, b):
-                m = max(abs(a), abs(b))
-                return abs(a - b) / m if m > 0 else 0.0
-            err = max(relerr(o.tail_closed, o.tail_quad),
-                      relerr(o.strip_closed, o.strip_quad))
+            err = layer_integral_errors(N, eps)[0]
             check(f"layer integrals eps={eps:g} N={N}", err <= 1e-12, f"rel err {err:.2e}")
 
-    # discrete coercivity with the default c_star
     rng = np.random.default_rng(0)
     for variant in (DeltaVariant.STANDARD, DeltaVariant.MODIFIED):
-        problem, mesh = build_case("paper-benchmark", 8, 1e-8)
-        delta = DeltaField.from_mesh(mesh, variant, 0.5)
-        system = assemble_system(mesh, problem, delta)
-        worst = np.inf
-        from .analysis import DiscreteFunction
-
-        for _ in range(100):
-            v = rng.standard_normal(system.dimension)
-            quad = float(v @ (system.matrix @ v))
-            nrm = sd_norm_discrete(
-                DiscreteFunction.from_dof_vector(mesh, v), problem, delta
-            )
-            worst = min(worst, quad / nrm**2)
+        worst = min_coercivity_ratio(8, variant, rng)
         check(f"coercivity {variant.value}", worst >= 0.5, f"min ratio {worst:.3f}")
 
-    # interpolation regressions (bounded ratios against the expected orders)
-    import math
-
-    ratios_g, ratios_s = [], []
-    for N in (8, 16, 32, 64):
-        problem, mesh = build_case("paper-benchmark", N, 1e-8)
-        delta = DeltaField.from_mesh(mesh, DeltaVariant.MODIFIED, 0.5)
-        ui = interpolant(problem, mesh)
-        from .analysis import ErrorComputation
-
-        comp = ErrorComputation(ui, delta, problem)
-        ratios_g.append(comp.report(RegionSel.GLOBAL).sd_norm / (math.log(N) / N))
-        ratios_s.append(comp.report(RegionSel.OMEGA_S).sd_norm / N**-1.5)
-    for name, ratios in (("global", ratios_g), ("omega_s", ratios_s)):
-        spread = max(ratios) / min(ratios)
+    spreads = interpolation_spreads((8, 16, 32, 64))
+    for name, spread in zip(("global", "omega_s"), spreads):
         check(f"interpolation regression {name}", spread <= 3.0, f"spread {spread:.2f}")
 
     return 0 if ok else 1

@@ -1,5 +1,6 @@
-"""Q1 finite element machinery: shape functions, tensor Gauss quadrature,
-Dirichlet dof mapping and assembly of the stabilized system.
+"""Q1 finite element machinery: the cell-point kernel (geometry and basis
+at reference points of every cell), Gauss quadrature and assembly of the
+stabilized system.
 
 Assembly is vectorized over cells; the accumulation order is fixed, so the
 assembled system is bit-reproducible.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Region, ShishkinMesh2D
+from .mesh import RegionSel, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
 
@@ -29,60 +30,17 @@ class MeshProblemMismatch(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor Gauss-Legendre rule on the reference square [-1,1]^2."""
+    """One-dimensional quadrature rule on the reference interval [0, 1]."""
 
-    order: int
-    points_1d: np.ndarray
-    weights_1d: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def gauss(cls, order: int) -> "QuadratureRule":
         if order < 1:
             raise QuadratureOrderTooLow(f"quadrature order must be >= 1, got {order}")
         p, w = np.polynomial.legendre.leggauss(order)
-        return cls(order=order, points_1d=p, weights_1d=w)
-
-    def tensor(self):
-        """(points, weights) with points shape (order^2, 2), weights summing to 4."""
-        P, Q = np.meshgrid(self.points_1d, self.points_1d)
-        pts = np.column_stack([P.ravel(), Q.ravel()])
-        W = np.outer(self.weights_1d, self.weights_1d).ravel()
-        return pts, W
-
-
-def shape_values(xi: float, eta: float) -> np.ndarray:
-    """Bilinear nodal basis values at a reference point in [-1,1]^2."""
-    nx = np.array([0.5 * (1.0 - xi), 0.5 * (1.0 + xi)])
-    ny = np.array([0.5 * (1.0 - eta), 0.5 * (1.0 + eta)])
-    return np.array([nx[di] * ny[dj] for di, dj in LOCAL_NODES])
-
-
-def shape_gradients(xi: float, eta: float, wx: float, wy: float) -> np.ndarray:
-    """Physical gradients (4, 2) on a cell with widths (wx, wy)."""
-    nx = np.array([0.5 * (1.0 - xi), 0.5 * (1.0 + xi)])
-    ny = np.array([0.5 * (1.0 - eta), 0.5 * (1.0 + eta)])
-    dn = np.array([-0.5, 0.5])
-    grads = np.empty((4, 2))
-    for k, (di, dj) in enumerate(LOCAL_NODES):
-        grads[k, 0] = dn[di] * ny[dj] * 2.0 / wx
-        grads[k, 1] = nx[di] * dn[dj] * 2.0 / wy
-    return grads
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Lexicographic interior-node numbering; boundary nodes map to -1."""
-
-    N: int
-
-    @property
-    def ndofs(self) -> int:
-        return (self.N - 1) ** 2
-
-    def node_to_dof(self, i: int, j: int) -> int:
-        if 1 <= i <= self.N - 1 and 1 <= j <= self.N - 1:
-            return (j - 1) * (self.N - 1) + (i - 1)
-        return -1
+        return cls(points=0.5 * (1.0 + p), weights=0.5 * w)
 
 
 @dataclass(frozen=True)
@@ -95,8 +53,64 @@ class SparseSystem:
         return self.matrix.shape[0]
 
 
-def _cell_geometry(mesh: ShishkinMesh2D):
-    """Flattened per-cell arrays (cell id = j*N + i)."""
+@dataclass(frozen=True)
+class CellPoint:
+    """One reference point (a, b) of [0, 1]^2 mapped into every cell.
+
+    Arrays run over flat cell ids (j*N + i). The basis function of corner
+    LOCAL_NODES[k] = (di, dj) is nx[di] * ny[dj]; its physical gradient is
+    (dphi_da[k] / WX, dphi_db[k] / WY).
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    SX: np.ndarray  # exact offsets 1 - X
+    SY: np.ndarray
+    WX: np.ndarray  # cell widths, the scaling of the reference derivatives
+    WY: np.ndarray
+    weight: np.ndarray  # quadrature weight times cell area
+    nx: tuple  # 1-D factors (1 - a, a)
+    ny: tuple  # 1-D factors (1 - b, b)
+
+    @property
+    def phi(self) -> tuple:
+        return tuple(self.nx[di] * self.ny[dj] for di, dj in LOCAL_NODES)
+
+    @property
+    def dphi_da(self) -> tuple:
+        return tuple((-1.0, 1.0)[di] * self.ny[dj] for di, dj in LOCAL_NODES)
+
+    @property
+    def dphi_db(self) -> tuple:
+        return tuple(self.nx[di] * (-1.0, 1.0)[dj] for di, dj in LOCAL_NODES)
+
+    def basis_gradients(self):
+        """Physical gradients (gx, gy) of the four basis functions."""
+        return [d / self.WX for d in self.dphi_da], [d / self.WY for d in self.dphi_db]
+
+    def value(self, c):
+        """Value of the Q1 function with per-cell corner values c
+        (LOCAL_NODES order)."""
+        nx, ny = self.nx, self.ny
+        return (c[0] * nx[0] * ny[0] + c[1] * nx[1] * ny[0]
+                + c[2] * nx[1] * ny[1] + c[3] * nx[0] * ny[1])
+
+    def gradient(self, c):
+        """Physical gradient of the same function. Corner differences are
+        taken first; they are exact for nearby values, the layer case."""
+        nx, ny = self.nx, self.ny
+        gx = ((c[1] - c[0]) * ny[0] + (c[2] - c[3]) * ny[1]) / self.WX
+        gy = ((c[3] - c[0]) * nx[0] + (c[2] - c[1]) * nx[1]) / self.WY
+        return gx, gy
+
+
+def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule):
+    """Map the tensor points of `rule` into every cell, one CellPoint per
+    point pair, the x reference coordinate outermost.
+
+    Offsets come from the exact cell offsets, not from 1 - X, so layer-cell
+    points stay distinct down to eps = 1e-16.
+    """
     N = mesh.N
     ax, ay = mesh.x_axis, mesh.y_axis
     WX = np.tile(ax.cell_width, N)
@@ -105,9 +119,23 @@ def _cell_geometry(mesh: ShishkinMesh2D):
     LY = np.repeat(ay.cell_left, N)
     SLX = np.tile(ax.cell_sigma_left, N)
     SLY = np.repeat(ay.cell_sigma_left, N)
-    I = np.tile(np.arange(N), N)
-    J = np.repeat(np.arange(N), N)
-    return WX, WY, LX, LY, SLX, SLY, I, J
+    area = WX * WY
+    # coordinates depend on one reference coordinate only
+    ys = [(LY + b * WY, SLY - b * WY) for b in rule.points]
+    for a, wa in zip(rule.points, rule.weights):
+        X, SX = LX + a * WX, SLX - a * WX
+        for b, wb, (Y, SY) in zip(rule.points, rule.weights, ys):
+            yield CellPoint(
+                X=X,
+                Y=Y,
+                SX=SX,
+                SY=SY,
+                WX=WX,
+                WY=WY,
+                weight=wa * wb * area,
+                nx=(1.0 - a, a),
+                ny=(1.0 - b, b),
+            )
 
 
 def assemble_system(
@@ -131,69 +159,47 @@ def assemble_system(
 
     N = mesh.N
     eps = problem.epsilon
-    WX, WY, LX, LY, SLX, SLY, I, J = _cell_geometry(mesh)
-    jac = WX * WY / 4.0
-    in_omega_s = (I < N // 2) & (J < N // 2)
+    in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
+    I = np.tile(np.arange(N), N)
+    J = np.repeat(np.arange(N), N)
 
-    dof = np.full((4, WX.size), -1, dtype=np.int64)
-    interior = np.zeros((4, WX.size), dtype=bool)
+    dof = np.full((4, N * N), -1, dtype=np.int64)
+    interior = np.zeros((4, N * N), dtype=bool)
     for k, (di, dj) in enumerate(LOCAL_NODES):
         ii, jj = I + di, J + dj
         interior[k] = (ii >= 1) & (ii <= N - 1) & (jj >= 1) & (jj <= N - 1)
         dof[k] = (jj - 1) * (N - 1) + (ii - 1)
 
-    dn = (-0.5, 0.5)
-
-    def point_data(pa, pb):
-        ax_ = 0.5 * (1.0 + pa)
-        ay_ = 0.5 * (1.0 + pb)
-        X = LX + ax_ * WX
-        Y = LY + ay_ * WY
-        SX = SLX - ax_ * WX
-        SY = SLY - ay_ * WY
-        nx = (1.0 - ax_, ax_)
-        ny = (1.0 - ay_, ay_)
-        vals, gx, gy = [], [], []
-        for di, dj in LOCAL_NODES:
-            vals.append(nx[di] * ny[dj])
-            gx.append(dn[di] * ny[dj] * 2.0 / WX)
-            gy.append(nx[di] * dn[dj] * 2.0 / WY)
-        return X, Y, SX, SY, vals, gx, gy
-
     # matrix
-    rule = QuadratureRule.gauss(quad_order)
-    Aloc = np.zeros((4, 4, WX.size))
-    for a, pa in enumerate(rule.points_1d):
-        for b, pb in enumerate(rule.points_1d):
-            w2 = rule.weights_1d[a] * rule.weights_1d[b] * jac
-            X, Y, SX, SY, vals, gx, gy = point_data(pa, pb)
-            b1v = problem.b1(X, Y)
-            b2v = problem.b2(X, Y)
-            cv = problem.c(X, Y)
-            dv = delta_field.evaluate_cells(in_omega_s, X, Y)
-            conv = [b1v * gx[l] + b2v * gy[l] for l in range(4)]
-            resid = [conv[l] + cv * vals[l] for l in range(4)]
-            for k in range(4):
-                for l in range(4):
-                    Aloc[k, l] += w2 * (
-                        eps * (gx[l] * gx[k] + gy[l] * gy[k])
-                        + resid[l] * vals[k]
-                        + resid[l] * dv * conv[k]
-                    )
+    Aloc = np.zeros((4, 4, N * N))
+    for p in cell_points(mesh, QuadratureRule.gauss(quad_order)):
+        phi = p.phi
+        gx, gy = p.basis_gradients()
+        b1v = problem.b1(p.X, p.Y)
+        b2v = problem.b2(p.X, p.Y)
+        cv = problem.c(p.X, p.Y)
+        dv = delta_field.evaluate_cells(in_omega_s, p.X, p.Y)
+        conv = [b1v * gx[l] + b2v * gy[l] for l in range(4)]
+        resid = [conv[l] + cv * phi[l] for l in range(4)]
+        for k in range(4):
+            for l in range(4):
+                Aloc[k, l] += p.weight * (
+                    eps * (gx[l] * gx[k] + gy[l] * gy[k])
+                    + resid[l] * phi[k]
+                    + resid[l] * dv * conv[k]
+                )
 
     # right-hand side
-    rhs_rule = QuadratureRule.gauss(max(rhs_quad_order, quad_order))
-    Floc = np.zeros((4, WX.size))
-    for a, pa in enumerate(rhs_rule.points_1d):
-        for b, pb in enumerate(rhs_rule.points_1d):
-            w2 = rhs_rule.weights_1d[a] * rhs_rule.weights_1d[b] * jac
-            X, Y, SX, SY, vals, gx, gy = point_data(pa, pb)
-            b1v = problem.b1(X, Y)
-            b2v = problem.b2(X, Y)
-            dv = delta_field.evaluate_cells(in_omega_s, X, Y)
-            fv = problem.f(X, Y, SX, SY)
-            for k in range(4):
-                Floc[k] += w2 * fv * (vals[k] + dv * (b1v * gx[k] + b2v * gy[k]))
+    Floc = np.zeros((4, N * N))
+    for p in cell_points(mesh, QuadratureRule.gauss(max(rhs_quad_order, quad_order))):
+        phi = p.phi
+        gx, gy = p.basis_gradients()
+        b1v = problem.b1(p.X, p.Y)
+        b2v = problem.b2(p.X, p.Y)
+        dv = delta_field.evaluate_cells(in_omega_s, p.X, p.Y)
+        fv = problem.f(p.X, p.Y, p.SX, p.SY)
+        for k in range(4):
+            Floc[k] += p.weight * fv * (phi[k] + dv * (b1v * gx[k] + b2v * gy[k]))
 
     ndofs = (N - 1) ** 2
     rows, cols, data = [], [], []
@@ -217,46 +223,3 @@ def assemble_system(
 
     return SparseSystem(matrix=A, rhs=F)
 
-
-def stab_cell_contribution(
-    mesh: ShishkinMesh2D,
-    problem: ProblemSpec,
-    delta_field: DeltaField,
-    i: int,
-    j: int,
-    quad_order: int = 3,
-):
-    """Elemental stabilization matrix (4,4) and vector (4,) for one cell.
-
-    Layer cells carry delta = 0 and are skipped without quadrature.
-    """
-    region, _ = mesh.cell_region(i, j)
-    if region is not Region.OMEGA_S:
-        return np.zeros((4, 4)), np.zeros(4)
-
-    ax, ay = mesh.x_axis, mesh.y_axis
-    wx, wy = ax.cell_width[i], ay.cell_width[j]
-    lx, ly = ax.cell_left[i], ay.cell_left[j]
-    slx, sly = ax.cell_sigma_left[i], ay.cell_sigma_left[j]
-    rule = QuadratureRule.gauss(quad_order)
-    M = np.zeros((4, 4))
-    V = np.zeros(4)
-    for a, pa in enumerate(rule.points_1d):
-        for b, pb in enumerate(rule.points_1d):
-            w2 = rule.weights_1d[a] * rule.weights_1d[b] * wx * wy / 4.0
-            x = lx + 0.5 * (1.0 + pa) * wx
-            y = ly + 0.5 * (1.0 + pb) * wy
-            sx = slx - 0.5 * (1.0 + pa) * wx
-            sy = sly - 0.5 * (1.0 + pb) * wy
-            vals = shape_values(pa, pb)
-            grads = shape_gradients(pa, pb, wx, wy)
-            b1v = float(problem.b1(x, y))
-            b2v = float(problem.b2(x, y))
-            cv = float(problem.c(x, y))
-            dv = delta_field.delta(x, y)
-            fv = float(problem.f(x, y, sx, sy))
-            conv = b1v * grads[:, 0] + b2v * grads[:, 1]
-            resid = conv + cv * vals
-            M += w2 * dv * np.outer(conv, resid)  # M[k, l] = (resid_l, delta*conv_k)
-            V += w2 * dv * fv * conv
-    return M, V

@@ -4,6 +4,7 @@ error grids."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,8 +13,11 @@ from .analysis import (
     DiscreteFunction,
     ErrorComputation,
     RegionSel,
+    interpolant,
+    layer_integral_oracle,
     pointwise_error_grid,
     rate,
+    sd_norm_discrete,
 )
 from .discretization import assemble_system
 from .mesh import AxisSpec, ShishkinMesh2D, build_mesh
@@ -276,8 +280,7 @@ def emit_error_grid(
     """Solve one case and dump the pointwise error grid as JSON. Layer
     points carry the exact offsets alongside the lossy absolute coords."""
     case = run_single(problem_name, N, eps, variant, c_star, solver_config)
-    problem, _ = build_case(problem_name, N, eps)
-    grid = pointwise_error_grid(problem, case.u_h, samples_per_cell)
+    grid = pointwise_error_grid(case.comp.problem, case.u_h, samples_per_cell)
     payload = {
         "N": N,
         "eps": eps,
@@ -292,3 +295,52 @@ def emit_error_grid(
     with open(path, "w") as fh:
         json.dump(payload, fh)
     return payload
+
+
+# Property checks shared by `sdfem verify` and the acceptance tests; the
+# callers choose the N lists, eps values and random streams.
+
+def layer_integral_errors(N: int, eps: float) -> tuple[float, float]:
+    """Worst relative gap between the closed-form layer integrals and
+    composite quadrature on the x and the y axis of the benchmark mesh."""
+    problem, mesh = build_case("paper-benchmark", N, eps)
+    worst = []
+    for beta, axis in ((problem.beta1, mesh.x_axis), (problem.beta2, mesh.y_axis)):
+        o = layer_integral_oracle(eps, beta, axis.strip_point, axis.transition_point, axis.H)
+        gaps = [0.0]
+        for a, b in ((o.tail_closed, o.tail_quad), (o.strip_closed, o.strip_quad)):
+            scale = max(abs(a), abs(b))
+            if scale:
+                gaps.append(abs(a - b) / scale)
+        worst.append(max(gaps))
+    return worst[0], worst[1]
+
+
+def min_coercivity_ratio(N: int, variant: DeltaVariant, rng: np.random.Generator) -> float:
+    """min v'Av / ||v||_SD^2 over 100 random vectors from `rng`, on the
+    benchmark at eps = 1e-8 with C* = 0.5."""
+    problem, mesh = build_case("paper-benchmark", N, 1e-8)
+    delta = DeltaField.from_mesh(mesh, variant, 0.5)
+    A = assemble_system(mesh, problem, delta).matrix
+    worst = math.inf
+    for _ in range(100):
+        v = rng.standard_normal(A.shape[0])
+        quad = float(v @ (A @ v))
+        nrm = sd_norm_discrete(DiscreteFunction.from_dof_vector(mesh, v), problem, delta)
+        worst = min(worst, quad / nrm**2)
+    return worst
+
+
+def interpolation_spreads(N_list) -> tuple[float, float]:
+    """max/min over N of the interpolant's SD-norm error scaled by its
+    expected order: N^-1 ln N globally and N^-1.5 on Omega_s (benchmark,
+    eps = 1e-8, modified delta, C* = 0.5)."""
+    ratios_global, ratios_local = [], []
+    for N in N_list:
+        problem, mesh = build_case("paper-benchmark", N, 1e-8)
+        delta = DeltaField.from_mesh(mesh, DeltaVariant.MODIFIED, 0.5)
+        comp = ErrorComputation(interpolant(problem, mesh), delta, problem)
+        ratios_global.append(comp.report(RegionSel.GLOBAL).sd_norm / (math.log(N) / N))
+        ratios_local.append(comp.report(RegionSel.OMEGA_S).sd_norm / N**-1.5)
+    return (max(ratios_global) / min(ratios_global),
+            max(ratios_local) / min(ratios_local))

@@ -23,34 +23,26 @@ class OutOfDomain(ValueError):
     """Point lies outside the closed unit square."""
 
 
-class Region(enum.Enum):
-    OMEGA_S = "omega_s"
-    OMEGA_X = "omega_x"
-    OMEGA_Y = "omega_y"
-    OMEGA_XY = "omega_xy"
+# per-cell region codes stored in ShishkinMesh2D.cell_codes
+_S_INNER, _S_STRIP, _X, _Y, _XY = range(5)
 
 
-class SubRegion(enum.Enum):
-    """Refinement of OMEGA_S: the eps-safe interior vs the last coarse strip."""
+class RegionSel(enum.Enum):
+    """Cell-aligned regions of the mesh, each valued by the codes of the
+    cells it covers.
 
-    INNER = "inner"
-    STRIP = "strip"
+    OMEGA_S_EPS (the eps-safe interior of Omega_s), OMEGA_S_EPS_COMPLEMENT
+    (the last coarse row and column of Omega_s), OMEGA_X, OMEGA_Y and
+    OMEGA_XY partition the cells; OMEGA_S and GLOBAL are unions of them.
+    """
 
-
-# integer codes used in the per-cell tag array
-_CODE_S_INNER = 0
-_CODE_S_STRIP = 1
-_CODE_X = 2
-_CODE_Y = 3
-_CODE_XY = 4
-
-_CODE_TO_REGION = {
-    _CODE_S_INNER: (Region.OMEGA_S, SubRegion.INNER),
-    _CODE_S_STRIP: (Region.OMEGA_S, SubRegion.STRIP),
-    _CODE_X: (Region.OMEGA_X, None),
-    _CODE_Y: (Region.OMEGA_Y, None),
-    _CODE_XY: (Region.OMEGA_XY, None),
-}
+    GLOBAL = (_S_INNER, _S_STRIP, _X, _Y, _XY)
+    OMEGA_S = (_S_INNER, _S_STRIP)
+    OMEGA_S_EPS = (_S_INNER,)
+    OMEGA_S_EPS_COMPLEMENT = (_S_STRIP,)
+    OMEGA_X = (_X,)
+    OMEGA_Y = (_Y,)
+    OMEGA_XY = (_XY,)
 
 
 @dataclass(frozen=True)
@@ -192,22 +184,15 @@ class ShishkinMesh2D:
     def y_s(self) -> float:
         return self.y_axis.strip_point
 
-    def cell_region(self, i: int, j: int) -> tuple[Region, SubRegion | None]:
-        return _CODE_TO_REGION[int(self.cell_codes[j * self.N + i])]
+    def cell_region(self, i: int, j: int) -> RegionSel:
+        """The one partitioning region that contains cell (i, j)."""
+        return RegionSel((int(self.cell_codes[j * self.N + i]),))
 
-    def region_mask(self, region: Region | None, sub: SubRegion | None = None) -> np.ndarray:
-        """Boolean mask over flat cell ids; region=None selects every cell."""
-        codes = self.cell_codes
-        if region is None:
-            return np.ones_like(codes, dtype=bool)
-        if region is Region.OMEGA_S:
-            if sub is SubRegion.INNER:
-                return codes == _CODE_S_INNER
-            if sub is SubRegion.STRIP:
-                return codes == _CODE_S_STRIP
-            return codes <= _CODE_S_STRIP
-        return codes == {Region.OMEGA_X: _CODE_X, Region.OMEGA_Y: _CODE_Y,
-                         Region.OMEGA_XY: _CODE_XY}[region]
+    def region_mask(self, region: RegionSel) -> np.ndarray:
+        """Boolean mask over flat cell ids."""
+        member = np.zeros(len(RegionSel.GLOBAL.value), dtype=bool)
+        member[list(region.value)] = True
+        return member[self.cell_codes]
 
 
 def build_mesh(x_spec: AxisSpec, y_spec: AxisSpec) -> ShishkinMesh2D:
@@ -225,20 +210,21 @@ def build_mesh(x_spec: AxisSpec, y_spec: AxisSpec) -> ShishkinMesh2D:
     codes = np.empty((N, N), dtype=np.uint8)
     coarse_i = I < half
     coarse_j = J < half
-    codes[coarse_i & coarse_j] = _CODE_S_INNER
+    codes[coarse_i & coarse_j] = _S_INNER
     strip = coarse_i & coarse_j & ((I == half - 1) | (J == half - 1))
-    codes[strip] = _CODE_S_STRIP
-    codes[~coarse_i & coarse_j] = _CODE_X
-    codes[coarse_i & ~coarse_j] = _CODE_Y
-    codes[~coarse_i & ~coarse_j] = _CODE_XY
+    codes[strip] = _S_STRIP
+    codes[~coarse_i & coarse_j] = _X
+    codes[coarse_i & ~coarse_j] = _Y
+    codes[~coarse_i & ~coarse_j] = _XY
 
     return ShishkinMesh2D(x_axis=ax, y_axis=ay, cell_codes=codes.ravel())
 
 
 def classify_point(
     mesh: ShishkinMesh2D, x: float, y: float, as_offsets: bool = False
-) -> tuple[Region, SubRegion | None]:
-    """Region containing (x, y); ties on interfaces resolve toward Omega_s.
+) -> RegionSel:
+    """Partitioning region containing (x, y); ties on interfaces resolve
+    toward Omega_s and, inside it, toward OMEGA_S_EPS.
 
     With as_offsets=True the inputs are (1-x, 1-y), which is the exact
     representation for layer-region points.
@@ -259,12 +245,12 @@ def classify_point(
         in_sy = y <= mesh.y_t
         inner = x <= mesh.x_s and y <= mesh.y_s
     if in_sx and in_sy:
-        return Region.OMEGA_S, (SubRegion.INNER if inner else SubRegion.STRIP)
+        return RegionSel.OMEGA_S_EPS if inner else RegionSel.OMEGA_S_EPS_COMPLEMENT
     if in_sy:
-        return Region.OMEGA_X, None
+        return RegionSel.OMEGA_X
     if in_sx:
-        return Region.OMEGA_Y, None
-    return Region.OMEGA_XY, None
+        return RegionSel.OMEGA_Y
+    return RegionSel.OMEGA_XY
 
 
 def dump_mesh(mesh: ShishkinMesh2D) -> str:

@@ -1,8 +1,9 @@
 """Stabilization parameter field delta(x, y) for the SDFEM.
 
 Two variants: the standard constant delta = C*/N on Omega_s, and the
-modified one C*/N * xi(x) * eta(y) that ramps linearly to zero across the
-last coarse cell strip of Omega_s. Both vanish on the layer regions.
+modified one C*/N * xi(x) * eta(y), xi(x) = min(1, (x_t - x)/H_x) and eta
+likewise, that ramps linearly to zero across the last coarse cell strip of
+Omega_s. Both vanish on the layer regions.
 """
 from __future__ import annotations
 
@@ -12,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import OutOfDomain, ShishkinMesh2D
-
-
-class DomainError(ValueError):
-    """Ramp function evaluated outside its domain."""
+from .mesh import ShishkinMesh2D
 
 
 class DeltaVariant(enum.Enum):
@@ -29,9 +26,7 @@ class DeltaField:
     variant: DeltaVariant
     c_star: float
     N: int
-    x_s: float
     x_t: float
-    y_s: float
     y_t: float
     H_x: float
     H_y: float
@@ -46,9 +41,7 @@ class DeltaField:
             variant=variant,
             c_star=c_star,
             N=mesh.N,
-            x_s=mesh.x_s,
             x_t=mesh.x_t,
-            y_s=mesh.y_s,
             y_t=mesh.y_t,
             H_x=mesh.x_axis.H,
             H_y=mesh.y_axis.H,
@@ -56,45 +49,6 @@ class DeltaField:
 
     def matches(self, mesh: ShishkinMesh2D) -> bool:
         return (self.N == mesh.N and self.x_t == mesh.x_t and self.y_t == mesh.y_t)
-
-    def xi(self, x: float) -> float:
-        """1 on [0, x_s], linear ramp down to 0 at x_t."""
-        if x < 0.0 or x > self.x_t:
-            raise DomainError(f"xi undefined at x={x} (x_t={self.x_t})")
-        if x <= self.x_s:
-            return 1.0
-        return (self.x_t - x) / self.H_x
-
-    def eta(self, y: float) -> float:
-        if y < 0.0 or y > self.y_t:
-            raise DomainError(f"eta undefined at y={y} (y_t={self.y_t})")
-        if y <= self.y_s:
-            return 1.0
-        return (self.y_t - y) / self.H_y
-
-    def delta(self, x: float, y: float) -> float:
-        """Pointwise delta; Omega_s is closed, so its boundary takes the
-        Omega_s branch (for the modified variant both branches coincide)."""
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise OutOfDomain(f"point outside the unit square: ({x}, {y})")
-        if x > self.x_t or y > self.y_t:
-            return 0.0
-        base = self.c_star / self.N
-        if self.variant is DeltaVariant.STANDARD:
-            return base
-        return base * self.xi(x) * self.eta(y)
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorized delta for quadrature-point arrays."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inside = (x <= self.x_t) & (y <= self.y_t)
-        base = self.c_star / self.N
-        if self.variant is DeltaVariant.STANDARD:
-            return np.where(inside, base, 0.0)
-        xi = np.clip((self.x_t - x) / self.H_x, 0.0, 1.0)
-        eta = np.clip((self.y_t - y) / self.H_y, 0.0, 1.0)
-        return np.where(inside, base * xi * eta, 0.0)
 
     def evaluate_cells(self, in_omega_s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Vectorized delta for quadrature points grouped by cell.

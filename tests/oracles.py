@@ -8,6 +8,42 @@ import numpy as np
 
 from sdfem.stabilization import DeltaVariant
 
+CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def delta_at(mesh, variant, c_star, i, j, x, y):
+    """Stabilization parameter at (x, y) inside cell (i, j): C*/N on the
+    coarse cells, ramped by (x_t - x)/H and (y_t - y)/H across the last
+    coarse strip for the modified variant, 0 on the layer cells."""
+    N = mesh.N
+    if not (i < N // 2 and j < N // 2):
+        return 0.0
+    base = c_star / N
+    if variant is DeltaVariant.STANDARD:
+        return base
+    xi = 1.0 if x <= mesh.x_s else (mesh.x_t - x) / mesh.x_axis.H
+    eta = 1.0 if y <= mesh.y_s else (mesh.y_t - y) / mesh.y_axis.H
+    return base * xi * eta
+
+
+def _interior_dof(N, i, j):
+    if 1 <= i <= N - 1 and 1 <= j <= N - 1:
+        return (j - 1) * (N - 1) + (i - 1)
+    return None
+
+
+def _bilinear_basis(ta, tb, wx, wy):
+    """Values and physical gradients of the four corner basis functions at
+    the relative position (ta, tb) in [0, 1]^2 of a wx x wy cell."""
+    nx = (1.0 - ta, ta)
+    ny = (1.0 - tb, tb)
+    dnx = (-1.0 / wx, 1.0 / wx)
+    dny = (-1.0 / wy, 1.0 / wy)
+    phi = [nx[di] * ny[dj] for di, dj in CORNERS]
+    gx = [dnx[di] * ny[dj] for di, dj in CORNERS]
+    gy = [nx[di] * dny[dj] for di, dj in CORNERS]
+    return phi, gx, gy
+
 
 def dense_sdfem_matrix(mesh, problem, variant, c_star, quad_order=10):
     """Dense stiffness matrix of the stabilized bilinear form by per-cell
@@ -18,23 +54,10 @@ def dense_sdfem_matrix(mesh, problem, variant, c_star, quad_order=10):
     # differences lose ~1e-8 relative accuracy in the layer for small eps
     left_x, width_x = mesh.x_axis.cell_left, mesh.x_axis.cell_width
     left_y, width_y = mesh.y_axis.cell_left, mesh.y_axis.cell_width
-    x_s, x_t, H_x = mesh.x_s, mesh.x_t, mesh.x_axis.H
-    y_s, y_t, H_y = mesh.y_s, mesh.y_t, mesh.y_axis.H
     p1, w1 = np.polynomial.legendre.leggauss(quad_order)
-
-    def delta_at(i, j, x, y):
-        if not (i < N // 2 and j < N // 2):
-            return 0.0
-        base = c_star / N
-        if variant is DeltaVariant.STANDARD:
-            return base
-        xi = 1.0 if x <= x_s else (x_t - x) / H_x
-        eta = 1.0 if y <= y_s else (y_t - y) / H_y
-        return base * xi * eta
 
     ndofs = (N - 1) ** 2
     A = np.zeros((ndofs, ndofs))
-    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
     for j in range(N):
         for i in range(N):
             x0, y0 = left_x[i], left_y[j]
@@ -42,22 +65,16 @@ def dense_sdfem_matrix(mesh, problem, variant, c_star, quad_order=10):
             loc = np.zeros((4, 4))
             for a in range(quad_order):
                 for b in range(quad_order):
-                    x = x0 + 0.5 * (1.0 + p1[a]) * wx
-                    y = y0 + 0.5 * (1.0 + p1[b]) * wy
-                    wq = w1[a] * w1[b] * wx * wy / 4.0
                     ta = 0.5 * (1.0 + p1[a])
                     tb = 0.5 * (1.0 + p1[b])
-                    nx = (1.0 - ta, ta)
-                    ny = (1.0 - tb, tb)
-                    dnx = (-1.0 / wx, 1.0 / wx)
-                    dny = (-1.0 / wy, 1.0 / wy)
+                    x = x0 + ta * wx
+                    y = y0 + tb * wy
+                    wq = w1[a] * w1[b] * wx * wy / 4.0
                     b1v = float(problem.b1(x, y))
                     b2v = float(problem.b2(x, y))
                     cv = float(problem.c(x, y))
-                    dv = delta_at(i, j, x, y)
-                    phi = [nx[di] * ny[dj] for di, dj in corners]
-                    gx = [dnx[di] * ny[dj] for di, dj in corners]
-                    gy = [nx[di] * dny[dj] for di, dj in corners]
+                    dv = delta_at(mesh, variant, c_star, i, j, x, y)
+                    phi, gx, gy = _bilinear_basis(ta, tb, wx, wy)
                     for k in range(4):
                         conv_k = b1v * gx[k] + b2v * gy[k]
                         for l in range(4):
@@ -68,13 +85,50 @@ def dense_sdfem_matrix(mesh, problem, variant, c_star, quad_order=10):
                                 + resid_l * phi[k]
                                 + resid_l * dv * conv_k
                             )
-            for k, (di, dj) in enumerate(corners):
-                ik, jk = i + di, j + dj
-                if not (1 <= ik <= N - 1 and 1 <= jk <= N - 1):
+            for k, (di, dj) in enumerate(CORNERS):
+                row = _interior_dof(N, i + di, j + dj)
+                if row is None:
                     continue
-                for l, (dl, dm) in enumerate(corners):
-                    il, jl = i + dl, j + dm
-                    if not (1 <= il <= N - 1 and 1 <= jl <= N - 1):
-                        continue
-                    A[(jk - 1) * (N - 1) + (ik - 1), (jl - 1) * (N - 1) + (il - 1)] += loc[k, l]
+                for l, (dl, dm) in enumerate(CORNERS):
+                    col = _interior_dof(N, i + dl, j + dm)
+                    if col is not None:
+                        A[row, col] += loc[k, l]
     return A
+
+
+def dense_sdfem_rhs(mesh, problem, variant, c_star, quad_order=5):
+    """Right-hand side (f, v + delta b.grad v) by per-cell tensor Gauss
+    quadrature. The source is evaluated with the exact offsets 1 - x, 1 - y
+    taken from the cells' left offsets, as the layer exponentials need."""
+    N = mesh.N
+    left_x, width_x = mesh.x_axis.cell_left, mesh.x_axis.cell_width
+    left_y, width_y = mesh.y_axis.cell_left, mesh.y_axis.cell_width
+    sigma_x, sigma_y = mesh.x_axis.cell_sigma_left, mesh.y_axis.cell_sigma_left
+    p1, w1 = np.polynomial.legendre.leggauss(quad_order)
+
+    F = np.zeros((N - 1) ** 2)
+    for j in range(N):
+        for i in range(N):
+            wx, wy = width_x[i], width_y[j]
+            loc = np.zeros(4)
+            for a in range(quad_order):
+                for b in range(quad_order):
+                    ta = 0.5 * (1.0 + p1[a])
+                    tb = 0.5 * (1.0 + p1[b])
+                    x = left_x[i] + ta * wx
+                    y = left_y[j] + tb * wy
+                    sx = sigma_x[i] - ta * wx
+                    sy = sigma_y[j] - tb * wy
+                    wq = w1[a] * w1[b] * wx * wy / 4.0
+                    b1v = float(problem.b1(x, y))
+                    b2v = float(problem.b2(x, y))
+                    fv = float(problem.f(x, y, sx, sy))
+                    dv = delta_at(mesh, variant, c_star, i, j, x, y)
+                    phi, gx, gy = _bilinear_basis(ta, tb, wx, wy)
+                    for k in range(4):
+                        loc[k] += wq * fv * (phi[k] + dv * (b1v * gx[k] + b2v * gy[k]))
+            for k, (di, dj) in enumerate(CORNERS):
+                row = _interior_dof(N, i + di, j + dj)
+                if row is not None:
+                    F[row] += loc[k]
+    return F

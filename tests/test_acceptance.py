@@ -10,9 +10,14 @@ import numpy as np
 import pytest
 
 from oracles import dense_sdfem_matrix
-from sdfem.analysis import DiscreteFunction, RegionSel, layer_integral_oracle, rate, sd_norm_discrete
+from sdfem.analysis import RegionSel, rate
 from sdfem.discretization import assemble_system
-from sdfem.harness import build_case
+from sdfem.harness import (
+    build_case,
+    interpolation_spreads,
+    layer_integral_errors,
+    min_coercivity_ratio,
+)
 from sdfem.solver import SolveMethod, SolverConfig, solve
 from sdfem.stabilization import DeltaField, DeltaVariant, admissible_cstar
 
@@ -182,50 +187,20 @@ def test_criterion_6_matrix_oracle():
 
 def test_criterion_7_coercivity():
     rng = np.random.default_rng(42)
-    worst = math.inf
-    for N in (8, 32):
-        problem, mesh = build_case("paper-benchmark", N, EPS_REF)
-        for variant in DeltaVariant:
-            delta = DeltaField.from_mesh(mesh, variant, 0.5)
-            A = assemble_system(mesh, problem, delta).matrix
-            for _ in range(100):
-                v = rng.standard_normal(A.shape[0])
-                quad = float(v @ (A @ v))
-                nrm = sd_norm_discrete(DiscreteFunction.from_dof_vector(mesh, v), problem, delta)
-                worst = min(worst, quad / nrm**2)
+    worst = min(min_coercivity_ratio(N, variant, rng)
+                for N in (8, 32) for variant in DeltaVariant)
     verdict(7, "discrete coercivity v'Av >= 0.5 ||v||_SD^2", worst >= 0.5,
             f"min ratio {worst:.3f} over 400 random vectors")
 
 
 def test_criterion_8_layer_integral_oracles():
-    worst = 0.0
-    for eps in (1e-2, 1e-4):
-        for N in (8, 16):
-            problem, mesh = build_case("paper-benchmark", N, eps)
-            for beta, axis in ((problem.beta1, mesh.x_axis), (problem.beta2, mesh.y_axis)):
-                o = layer_integral_oracle(
-                    eps, beta, axis.strip_point, axis.transition_point, axis.H
-                )
-                for a, b in ((o.tail_closed, o.tail_quad), (o.strip_closed, o.strip_quad)):
-                    scale = max(abs(a), abs(b))
-                    if scale:
-                        worst = max(worst, abs(a - b) / scale)
+    worst = max(max(layer_integral_errors(N, eps)) for eps in (1e-2, 1e-4) for N in (8, 16))
     verdict(8, "closed-form layer integrals match composite quadrature", worst <= 1e-12,
             f"max relative error {worst:.2e}")
 
 
-def test_criterion_9_interpolation_regressions(case_runner):
-    from sdfem.analysis import ErrorComputation, interpolant
-
-    ratios_global, ratios_local = [], []
-    for N in (8, 16, 32, 64, 128):
-        problem, mesh = build_case("paper-benchmark", N, EPS_REF)
-        delta = DeltaField.from_mesh(mesh, DeltaVariant.MODIFIED, 0.5)
-        comp = ErrorComputation(interpolant(problem, mesh), delta, problem)
-        ratios_global.append(comp.report(RegionSel.GLOBAL).sd_norm / (math.log(N) / N))
-        ratios_local.append(comp.report(RegionSel.OMEGA_S).sd_norm / N**-1.5)
-    s_g = max(ratios_global) / min(ratios_global)
-    s_l = max(ratios_local) / min(ratios_local)
+def test_criterion_9_interpolation_regressions():
+    s_g, s_l = interpolation_spreads((8, 16, 32, 64, 128))
     verdict(9, "interpolation error tracks N^-1 ln N globally and N^-1.5 locally",
             s_g <= 3.0 and s_l <= 3.0, f"spreads {s_g:.2f}, {s_l:.2f}")
 

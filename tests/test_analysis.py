@@ -15,7 +15,7 @@ from sdfem.analysis import (
     rate,
     sd_norm_discrete,
 )
-from sdfem.mesh import AxisSpec, Region, build_mesh
+from sdfem.mesh import AxisSpec, build_mesh
 from sdfem.problem import ExactSolution, ProblemSpec, make_benchmark
 from sdfem.stabilization import DeltaField, DeltaVariant
 

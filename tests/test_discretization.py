@@ -1,18 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from oracles import dense_sdfem_matrix
+from oracles import dense_sdfem_matrix, dense_sdfem_rhs
 from sdfem.discretization import (
-    DofMap,
+    LOCAL_NODES,
     MeshProblemMismatch,
     QuadratureOrderTooLow,
     QuadratureRule,
     assemble_system,
-    shape_gradients,
-    shape_values,
-    stab_cell_contribution,
+    cell_points,
 )
-from sdfem.mesh import AxisSpec, build_mesh
+from sdfem.mesh import AxisSpec, RegionSel, build_mesh
 from sdfem.problem import make_benchmark
 from sdfem.stabilization import DeltaField, DeltaVariant
 
@@ -23,41 +23,59 @@ def bench(N=4, eps=0.1):
     return p, m
 
 
+def one_cell_mesh(h):
+    """Duck-typed mesh with the single cell [0, h]^2."""
+    axis = SimpleNamespace(cell_width=np.array([h]), cell_left=np.array([0.0]),
+                           cell_sigma_left=np.array([1.0]))
+    return SimpleNamespace(N=1, x_axis=axis, y_axis=axis)
+
+
+def reference_point(a, b):
+    """CellPoint of the reference point (a, b) on the unit cell: the second
+    of the pairs (a, a), (a, b), (b, a), (b, b), x outermost."""
+    rule = QuadratureRule(points=np.array([a, b]), weights=np.ones(2))
+    return list(cell_points(one_cell_mesh(1.0), rule))[1]
+
+
 class TestShapeFunctions:
     def test_center_values(self):
-        assert np.allclose(shape_values(0.0, 0.0), 0.25)
+        assert np.allclose(reference_point(0.5, 0.5).phi, 0.25)
 
     def test_nodal_property(self):
-        assert np.allclose(shape_values(-1.0, -1.0), [1, 0, 0, 0])
-        assert np.allclose(shape_values(1.0, -1.0), [0, 1, 0, 0])
-        assert np.allclose(shape_values(1.0, 1.0), [0, 0, 1, 0])
-        assert np.allclose(shape_values(-1.0, 1.0), [0, 0, 0, 1])
+        for k, (di, dj) in enumerate(LOCAL_NODES):
+            p = reference_point(float(di), float(dj))
+            assert np.array_equal(p.phi, np.eye(4)[k])
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            xi, eta = rng.uniform(-1, 1, size=2)
-            assert float(np.sum(shape_values(xi, eta))) == pytest.approx(1.0, rel=1e-14)
-            g = shape_gradients(xi, eta, 0.3, 0.7)
-            assert np.allclose(np.sum(g, axis=0), 0.0, atol=1e-14)
+        for a, b in rng.uniform(0, 1, size=(10, 2)):
+            p = reference_point(a, b)
+            assert float(np.sum(p.phi)) == pytest.approx(1.0, rel=1e-14)
+            assert abs(sum(p.dphi_da)) <= 1e-14 and abs(sum(p.dphi_db)) <= 1e-14
 
     def test_quadrature_rule(self):
         with pytest.raises(QuadratureOrderTooLow):
             QuadratureRule.gauss(0)
         rule = QuadratureRule.gauss(3)
-        pts, wts = rule.tensor()
-        assert pts.shape == (9, 2)
-        assert float(np.sum(wts)) == pytest.approx(4.0, rel=1e-14)
+        assert rule.points.shape == (3,)
+        assert np.all((rule.points > 0) & (rule.points < 1))
+        assert float(np.sum(rule.weights)) == pytest.approx(1.0, rel=1e-14)
 
 
-class TestDofMap:
-    def test_interior_numbering(self):
-        dm = DofMap(N=4)
-        assert dm.ndofs == 9
-        assert dm.node_to_dof(1, 1) == 0
-        assert dm.node_to_dof(3, 3) == 8
-        assert dm.node_to_dof(0, 2) == -1
-        assert dm.node_to_dof(2, 4) == -1
+def galerkin_and_sd(m, p, variant):
+    """Assembled (Galerkin, stabilized) matrix pair; their difference is the
+    stabilization term alone."""
+    gal = assemble_system(m, p, DeltaField.from_mesh(m, variant, 1e-300)).matrix.toarray()
+    sd = assemble_system(m, p, DeltaField.from_mesh(m, variant, 0.5)).matrix.toarray()
+    return gal, sd
+
+
+def rows_touching(m, mask):
+    """Dofs of the interior nodes that are a corner of some cell in `mask`."""
+    N = m.N
+    return {(c // N + dj - 1) * (N - 1) + (c % N + di - 1)
+            for c in np.flatnonzero(mask) for di, dj in LOCAL_NODES
+            if 1 <= c % N + di <= N - 1 and 1 <= c // N + dj <= N - 1}
 
 
 class TestElementalMatrices:
@@ -65,13 +83,11 @@ class TestElementalMatrices:
         # stiffness of the bilinear element for -Lap on a square cell is
         # h-independent: diagonal 2/3, edge neighbors -1/6, opposite -1/3
         for h in (1.0, 0.25, 1e-3):
-            rule = QuadratureRule.gauss(2)
             K = np.zeros((4, 4))
-            for a, pa in enumerate(rule.points_1d):
-                for b, pb in enumerate(rule.points_1d):
-                    w2 = rule.weights_1d[a] * rule.weights_1d[b] * h * h / 4.0
-                    g = shape_gradients(pa, pb, h, h)
-                    K += w2 * (g @ g.T)
+            for p in cell_points(one_cell_mesh(h), QuadratureRule.gauss(2)):
+                gx, gy = p.basis_gradients()
+                gx, gy = np.concatenate(gx), np.concatenate(gy)
+                K += p.weight * (np.outer(gx, gx) + np.outer(gy, gy))
             expect = np.array(
                 [
                     [2 / 3, -1 / 6, -1 / 3, -1 / 6],
@@ -83,27 +99,30 @@ class TestElementalMatrices:
             assert np.allclose(K, expect, atol=1e-14)
 
     def test_stab_contribution_zero_on_layer_cells(self):
+        # nodes whose four cells all lie in the layers carry no stabilization
         p, m = bench(N=8, eps=1e-4)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        M, V = stab_cell_contribution(m, p, d, i=6, j=2)
-        assert not M.any() and not V.any()
+        in_s = m.region_mask(RegionSel.OMEGA_S)
+        rows = sorted(rows_touching(m, ~in_s) - rows_touching(m, in_s))
+        assert rows
+        gal, sd = galerkin_and_sd(m, p, DeltaVariant.STANDARD)
+        assert np.array_equal(sd[rows], gal[rows])
 
     def test_stab_inner_cell_variant_agreement(self):
         p, m = bench(N=8, eps=1e-4)
-        ds = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        dm = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        Ms, Vs = stab_cell_contribution(m, p, ds, i=1, j=1)
-        Mm, Vm = stab_cell_contribution(m, p, dm, i=1, j=1)
-        assert np.allclose(Ms, Mm, rtol=1e-14)
-        assert np.allclose(Vs, Vm, rtol=1e-14)
+        inner = m.region_mask(RegionSel.OMEGA_S_EPS)
+        rows = sorted(rows_touching(m, inner) - rows_touching(m, ~inner))
+        assert rows
+        ss = assemble_system(m, p, DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5))
+        sm = assemble_system(m, p, DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5))
+        assert np.array_equal(ss.matrix.toarray()[rows], sm.matrix.toarray()[rows])
+        assert np.array_equal(ss.rhs[rows], sm.rhs[rows])
 
     def test_stab_strip_cell_modified_smaller(self):
         p, m = bench(N=8, eps=1e-4)
-        ds = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        dm = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        Ms, _ = stab_cell_contribution(m, p, ds, i=3, j=1)
-        Mm, _ = stab_cell_contribution(m, p, dm, i=3, j=1)
-        assert np.linalg.norm(Mm) < np.linalg.norm(Ms)
+        rows = sorted(rows_touching(m, m.region_mask(RegionSel.OMEGA_S_EPS_COMPLEMENT)))
+        gal, sd_std = galerkin_and_sd(m, p, DeltaVariant.STANDARD)
+        _, sd_mod = galerkin_and_sd(m, p, DeltaVariant.MODIFIED)
+        assert np.linalg.norm((sd_mod - gal)[rows]) < np.linalg.norm((sd_std - gal)[rows])
 
 
 class TestAssembly:
@@ -124,6 +143,15 @@ class TestAssembly:
         O = dense_sdfem_matrix(m, p, variant, 0.5)
         scale = np.abs(O).max()
         assert np.abs(A - O).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("eps", [0.1, 1e-8, 1e-16])
+    @pytest.mark.parametrize("variant", list(DeltaVariant))
+    def test_rhs_matches_dense_bruteforce(self, eps, variant):
+        p, m = bench(N=4, eps=eps)
+        d = DeltaField.from_mesh(m, variant, 0.5)
+        F = assemble_system(m, p, d).rhs
+        O = dense_sdfem_rhs(m, p, variant, 0.5)
+        assert np.abs(F - O).max() <= 1e-12 * np.abs(O).max()
 
     def test_quad_order_stability(self):
         p, m = bench(N=8, eps=1e-4)

@@ -9,8 +9,7 @@ from sdfem.mesh import (
     AxisSpec,
     InvalidSpec,
     OutOfDomain,
-    Region,
-    SubRegion,
+    RegionSel,
     build_axis,
     build_mesh,
     classify_point,
@@ -96,28 +95,30 @@ class TestMesh2D:
         codes = {}
         for j in range(8):
             for i in range(8):
-                reg, sub = mesh.cell_region(i, j)
-                codes[(reg, sub)] = codes.get((reg, sub), 0) + 1
-        assert codes[(Region.OMEGA_S, SubRegion.INNER)] == 9
-        assert codes[(Region.OMEGA_S, SubRegion.STRIP)] == 7
-        assert codes[(Region.OMEGA_X, None)] == 16
-        assert codes[(Region.OMEGA_Y, None)] == 16
-        assert codes[(Region.OMEGA_XY, None)] == 16
+                reg = mesh.cell_region(i, j)
+                codes[reg] = codes.get(reg, 0) + 1
+        assert codes == {
+            RegionSel.OMEGA_S_EPS: 9,
+            RegionSel.OMEGA_S_EPS_COMPLEMENT: 7,
+            RegionSel.OMEGA_X: 16,
+            RegionSel.OMEGA_Y: 16,
+            RegionSel.OMEGA_XY: 16,
+        }
 
     def test_region_masks_partition(self):
         mesh = bench_mesh(N=16)
         masks = [
-            mesh.region_mask(Region.OMEGA_S),
-            mesh.region_mask(Region.OMEGA_X),
-            mesh.region_mask(Region.OMEGA_Y),
-            mesh.region_mask(Region.OMEGA_XY),
+            mesh.region_mask(RegionSel.OMEGA_S),
+            mesh.region_mask(RegionSel.OMEGA_X),
+            mesh.region_mask(RegionSel.OMEGA_Y),
+            mesh.region_mask(RegionSel.OMEGA_XY),
         ]
-        total = sum(int(m.sum()) for m in masks)
-        assert total == 16 * 16
-        assert int(mesh.region_mask(None).sum()) == 16 * 16
-        inner = mesh.region_mask(Region.OMEGA_S, SubRegion.INNER)
-        strip = mesh.region_mask(Region.OMEGA_S, SubRegion.STRIP)
-        assert int(inner.sum()) + int(strip.sum()) == int(masks[0].sum())
+        assert np.array_equal(sum(m.astype(int) for m in masks), np.ones(16 * 16, dtype=int))
+        assert int(mesh.region_mask(RegionSel.GLOBAL).sum()) == 16 * 16
+        inner = mesh.region_mask(RegionSel.OMEGA_S_EPS)
+        strip = mesh.region_mask(RegionSel.OMEGA_S_EPS_COMPLEMENT)
+        assert not (inner & strip).any()
+        assert np.array_equal(inner | strip, masks[0])
 
     def test_strip_is_last_coarse_row_and_column(self):
         mesh = bench_mesh(N=8, eps=1e-4)
@@ -126,7 +127,7 @@ class TestMesh2D:
             (i, j)
             for j in range(8)
             for i in range(8)
-            if mesh.cell_region(i, j) == (Region.OMEGA_S, SubRegion.STRIP)
+            if mesh.cell_region(i, j) is RegionSel.OMEGA_S_EPS_COMPLEMENT
         }
         expected = {(i, 3) for i in range(4)} | {(3, j) for j in range(4)}
         assert strip_cells == expected
@@ -142,20 +143,17 @@ class TestMesh2D:
 class TestClassifyPoint:
     def test_center_and_layers(self):
         mesh = bench_mesh()
-        assert classify_point(mesh, 0.5, 0.5)[0] is Region.OMEGA_S
+        assert classify_point(mesh, 0.5, 0.5) is RegionSel.OMEGA_S_EPS
         lam_x = mesh.x_axis.lam
-        assert classify_point(mesh, 1.0 - lam_x / 2, 0.5, as_offsets=False)[0] is Region.OMEGA_X
+        assert classify_point(mesh, 1.0 - lam_x / 2, 0.5, as_offsets=False) is RegionSel.OMEGA_X
         # offset form is exact for layer points
-        assert classify_point(mesh, lam_x / 2, 0.5, as_offsets=True)[0] is Region.OMEGA_X
-        assert classify_point(mesh, lam_x / 2, mesh.y_axis.lam / 2, as_offsets=True)[0] is Region.OMEGA_XY
+        assert classify_point(mesh, lam_x / 2, 0.5, as_offsets=True) is RegionSel.OMEGA_X
+        assert classify_point(mesh, lam_x / 2, mesh.y_axis.lam / 2, as_offsets=True) is RegionSel.OMEGA_XY
 
     def test_transition_corner_tie_breaks_into_omega_s(self):
         mesh = bench_mesh()
-        reg, sub = classify_point(mesh, mesh.x_t, mesh.y_t)
-        assert reg is Region.OMEGA_S
-        assert sub is SubRegion.STRIP
-        reg, sub = classify_point(mesh, mesh.x_s, mesh.y_s)
-        assert (reg, sub) == (Region.OMEGA_S, SubRegion.INNER)
+        assert classify_point(mesh, mesh.x_t, mesh.y_t) is RegionSel.OMEGA_S_EPS_COMPLEMENT
+        assert classify_point(mesh, mesh.x_s, mesh.y_s) is RegionSel.OMEGA_S_EPS
 
     def test_out_of_domain(self):
         mesh = bench_mesh()

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from sdfem.mesh import AxisSpec, OutOfDomain, build_mesh
+from oracles import delta_at
+from sdfem.discretization import QuadratureRule, cell_points
+from sdfem.mesh import AxisSpec, RegionSel, build_mesh
 from sdfem.problem import make_benchmark
-from sdfem.stabilization import DeltaField, DeltaVariant, DomainError, admissible_cstar
+from sdfem.stabilization import DeltaField, DeltaVariant, admissible_cstar
 
 
 def bench(N=8, eps=1e-8):
@@ -15,55 +17,63 @@ def bench(N=8, eps=1e-8):
     return p, m
 
 
+def delta_on_omega_s(d, x, y):
+    """evaluate_cells at points of cells inside Omega_s."""
+    x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    return d.evaluate_cells(np.ones(x.shape, dtype=bool), x, y)
+
+
 class TestRamps:
+    """Modified delta along the ramp of the last coarse strip, with the
+    other coordinate inside OMEGA_S_EPS so its ramp factor is 1."""
+
     def test_endpoints(self):
         _, m = bench()
         d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        assert d.xi(d.x_s) == 1.0
-        assert d.xi(d.x_t) == pytest.approx(0.0, abs=1e-12)
-        assert d.eta(d.y_s) == 1.0
-        assert d.eta(d.y_t) == pytest.approx(0.0, abs=1e-12)
+        base = 0.5 / m.N
+        assert delta_on_omega_s(d, m.x_s, 0.1)[0] == base
+        assert delta_on_omega_s(d, m.x_t, 0.1)[0] == pytest.approx(0.0, abs=1e-12)
+        assert delta_on_omega_s(d, 0.1, m.y_s)[0] == base
+        assert delta_on_omega_s(d, 0.1, m.y_t)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint_linearity(self):
         _, m = bench()
         d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        assert d.xi(d.x_s + d.H_x / 2) == pytest.approx(0.5, rel=1e-12)
-        assert d.eta(d.y_s + d.H_y / 2) == pytest.approx(0.5, rel=1e-12)
-
-    def test_domain_errors(self):
-        _, m = bench()
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        with pytest.raises(DomainError):
-            d.xi(1.0)  # beyond the transition point
-        with pytest.raises(DomainError):
-            d.eta(-0.1)
+        base = 0.5 / m.N
+        assert delta_on_omega_s(d, m.x_s + m.x_axis.H / 2, 0.1)[0] == pytest.approx(
+            0.5 * base, rel=1e-12)
+        assert delta_on_omega_s(d, 0.1, m.y_s + m.y_axis.H / 2)[0] == pytest.approx(
+            0.5 * base, rel=1e-12)
 
 
 class TestDelta:
     def test_standard_value_in_omega_s(self):
         _, m = bench(N=8)
         d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        assert d.delta(0.5, 0.5) == 0.0625  # c_star / N exactly
+        assert delta_on_omega_s(d, 0.5, 0.5)[0] == 0.0625  # c_star / N exactly
 
     def test_modified_equals_standard_inside_inner_region(self):
         _, m = bench(N=8)
         ds = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
         dm = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        for x, y in ((0.1, 0.1), (d := 0.3, d), (m.x_s, m.y_s)):
-            assert dm.delta(x, y) == ds.delta(x, y)
+        x = np.array([0.1, 0.3, m.x_s])
+        y = np.array([0.1, 0.3, m.y_s])
+        assert np.array_equal(delta_on_omega_s(dm, x, y), delta_on_omega_s(ds, x, y))
 
     def test_vanishes_in_layers(self):
-        _, m = bench()
-        for variant in DeltaVariant:
-            d = DeltaField.from_mesh(m, variant, 0.5)
-            assert d.delta(1.0 - m.x_axis.lam / 2, 0.5) == 0.0
-            assert d.delta(0.5, 1.0 - m.y_axis.lam / 2) == 0.0
-
-    def test_out_of_domain(self):
-        _, m = bench()
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        with pytest.raises(OutOfDomain):
-            d.delta(1.5, 0.5)
+        # at eps = 1e-16 the layer abscissae round onto x_t = 1 - lambda or
+        # onto 1.0; the cell index, not the coordinate, must switch delta off
+        for eps in (1e-8, 1e-16):
+            _, m = bench(eps=eps)
+            in_omega_s = m.region_mask(RegionSel.OMEGA_S)
+            I, J = np.meshgrid(np.arange(m.N), np.arange(m.N))
+            assert np.array_equal(in_omega_s, ((I < m.N // 2) & (J < m.N // 2)).ravel())
+            for variant in DeltaVariant:
+                d = DeltaField.from_mesh(m, variant, 0.5)
+                for p in cell_points(m, QuadratureRule.gauss(3)):
+                    dv = d.evaluate_cells(in_omega_s, p.X, p.Y)
+                    assert not dv[~in_omega_s].any()
+                    assert dv[in_omega_s].all()
 
     def test_invalid_cstar(self):
         _, m = bench()
@@ -93,13 +103,15 @@ class TestVectorizedEvaluation:
 
     def test_matches_pointwise_on_omega_s(self):
         _, m = bench(N=8, eps=1e-4)
+        N = m.N
         for variant in DeltaVariant:
             d = DeltaField.from_mesh(m, variant, 0.7)
-            xs = np.linspace(0.05, float(m.x_t) - 1e-6, 9)
-            ys = np.linspace(0.05, float(m.y_t) - 1e-6, 9)
-            vec = d.evaluate_cells(np.ones_like(xs, dtype=bool), xs, ys)
-            for k in range(9):
-                assert vec[k] == pytest.approx(d.delta(float(xs[k]), float(ys[k])), rel=1e-12)
+            for p in cell_points(m, QuadratureRule.gauss(3)):
+                vec = d.evaluate_cells(m.region_mask(RegionSel.OMEGA_S), p.X, p.Y)
+                for cell in range(N * N):
+                    i, j = cell % N, cell // N
+                    want = delta_at(m, variant, 0.7, i, j, float(p.X[cell]), float(p.Y[cell]))
+                    assert vec[cell] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestAdmissibleCstar:
