@@ -6,7 +6,8 @@ Subcommands:
   verify  run the built-in property suites (oracles, coercivity, regressions)
   mesh    dump the 1D breakpoint sets of a Shishkin mesh
 
-Exit codes: 0 success, 1 failed row or failed check, 2 configuration error.
+Exit codes: 0 success, 1 failed row, failed check or unconverged grid
+solve, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .discretization import assemble_system
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    Unconverged,
     build_case,
     emit_error_grid,
     emit_table,
@@ -53,7 +55,8 @@ def _add_solver_flags(p):
     p.add_argument("--solver", choices=[m.value for m in SolveMethod], default="gmres")
     p.add_argument("--restart", type=int, default=60)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--precond", choices=[m.value for m in Preconditioner], default="ilu0")
+    p.add_argument("--precond", choices=[*(m.value for m in Preconditioner), "ilu0"],
+                   default="ilut")
 
 
 def cmd_run(args) -> int:
@@ -90,16 +93,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    emit_error_grid(
-        args.problem,
-        args.N,
-        args.eps,
-        DeltaVariant(args.delta),
-        args.cstar,
-        args.samples,
-        args.out,
-        _solver_config(args),
-    )
+    try:
+        emit_error_grid(
+            args.problem,
+            args.N,
+            args.eps,
+            DeltaVariant(args.delta),
+            args.cstar,
+            args.samples,
+            args.out,
+            _solver_config(args),
+        )
+    except Unconverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {args.out}")
     return 0
 

@@ -30,6 +30,10 @@ class ConfigError(ValueError):
     pass
 
 
+class Unconverged(RuntimeError):
+    pass
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str = "paper-benchmark"
@@ -201,7 +205,8 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                 rec.residual = case.stats.residual
                 records.append(rec)
                 stats_summary.append(
-                    {"N": N, "iters": case.stats.iterations, "method": case.stats.method}
+                    {"N": N, "iters": case.stats.iterations, "method": case.stats.method,
+                     "setup_time": case.stats.setup_time, "fill": case.stats.fill}
                 )
             _fill_rates(records)
             artifacts.append(TableArtifact(
@@ -278,8 +283,17 @@ def emit_error_grid(
     solver_config: SolverConfig | None = None,
 ) -> dict:
     """Solve one case and dump the pointwise error grid as JSON. Layer
-    points carry the exact offsets alongside the lossy absolute coords."""
+    points carry the exact offsets alongside the lossy absolute coords.
+
+    Raises Unconverged, and writes nothing, when the solve misses its
+    residual tolerance."""
+    solver_config = solver_config or SolverConfig()
     case = run_single(problem_name, N, eps, variant, c_star, solver_config)
+    if not case.stats.converged:
+        raise Unconverged(
+            f"solve did not converge: {case.stats.iterations} iterations, "
+            f"residual {case.stats.residual:.3e} > tol {solver_config.rel_residual_tol:.3e}"
+        )
     grid = pointwise_error_grid(case.comp.problem, case.u_h, samples_per_cell)
     payload = {
         "N": N,
@@ -292,8 +306,10 @@ def emit_error_grid(
             [grid.x, grid.y, grid.sigma_x, grid.sigma_y, grid.abs_error]
         ).tolist(),
     }
+    # json.dumps without indent runs the C encoder; json.dump streams
+    # through the pure-Python one. The bytes are the same.
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
     return payload
 
 

@@ -1,5 +1,10 @@
-"""Sparse linear solvers: restarted GMRES with simple preconditioning and a
-direct sparse LU fallback used for small systems and cross-validation.
+"""Sparse linear solvers: restarted GMRES preconditioned by ILUT (SuperLU's
+threshold incomplete LU) or Jacobi, and a direct sparse LU used for small
+systems and cross-validation.
+
+Both factorizations order the matrix by minimum degree on the pattern of
+Aᵀ+A: the Q1 stencil on a tensor mesh gives A a symmetric pattern, on which
+this ordering leaves less fill than SuperLU's default COLAMD.
 
 The reported residual is always recomputed from a fresh matrix-vector
 product, never taken from the Krylov estimate.
@@ -16,6 +21,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .discretization import SparseSystem
+
+# SuperLU column ordering for spilu and splu.
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 class Breakdown(RuntimeError):
@@ -34,7 +42,12 @@ class SolveMethod(enum.Enum):
 class Preconditioner(enum.Enum):
     NONE = "none"
     JACOBI = "jacobi"
-    ILU0 = "ilu0"
+    ILUT = "ilut"
+
+    @classmethod
+    def _missing_(cls, value):
+        # "ilu0", the former name of ILUT, still selects it
+        return cls.ILUT if value == "ilu0" else None
 
 
 @dataclass(frozen=True)
@@ -43,7 +56,7 @@ class SolverConfig:
     restart: int = 60
     max_iterations: int = 10000  # total Krylov steps across restarts
     rel_residual_tol: float = 1e-10
-    preconditioner: Preconditioner = Preconditioner.ILU0
+    preconditioner: Preconditioner = Preconditioner.ILUT
 
     def __post_init__(self):
         if self.restart < 1:
@@ -59,30 +72,42 @@ class SolveStats:
     wall_time: float
     method: str
     converged: bool
+    setup_time: float  # preconditioner setup or LU factorization time
+    fill: float | None  # stored entries of L and U / nnz(A); None without a factor
     residual_history: list[float] = field(default_factory=list, repr=False)
 
 
+def _fill(factor, A: sp.spmatrix) -> float:
+    # SuperLU's own count of the entries it stores for L and U, explicit
+    # zeros in supernodes included. Reading factor.L or factor.U instead
+    # would copy the whole factor (about 320 MiB for LU at N=512).
+    return factor.nnz / A.nnz
+
+
 def _make_preconditioner(A: sp.csr_matrix, kind: Preconditioner):
+    """Returns (operator or None, name of the preconditioner used, fill)."""
     if kind is Preconditioner.NONE:
-        return None, "none"
-    if kind is Preconditioner.ILU0:
+        return None, "none", None
+    if kind is Preconditioner.ILUT:
         try:
-            ilu = spla.spilu(A.tocsc(), drop_tol=1e-4, fill_factor=10)
-            return spla.LinearOperator(A.shape, ilu.solve), "ilu0"
+            ilu = spla.spilu(A.tocsc(), drop_tol=1e-4, fill_factor=10, permc_spec=PERMC_SPEC)
+            return spla.LinearOperator(A.shape, ilu.solve), "ilut", _fill(ilu, A)
         except RuntimeError:
             pass  # zero pivot: fall back to Jacobi
     d = A.diagonal()
     if np.any(d == 0.0):
-        return None, "none"
+        return None, "none", None
     inv = 1.0 / d
-    return spla.LinearOperator(A.shape, lambda v: inv * v), "jacobi"
+    return spla.LinearOperator(A.shape, lambda v: inv * v), "jacobi", None
 
 
 def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
     """Solve the assembled system; returns (solution, SolveStats).
 
-    GMRES starts from the zero vector for determinism. On stagnation the
-    best iterate is returned with stats.converged = False.
+    Both methods report converged only when the recomputed residual meets
+    config.rel_residual_tol. GMRES starts from the zero vector for
+    determinism; on stagnation the best iterate is returned with
+    stats.converged = False.
     """
     A, F = system.matrix, system.rhs
     if A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -92,9 +117,10 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
 
     if config.method is SolveMethod.DIRECT_LU:
         try:
-            lu = spla.splu(A.tocsc())
+            lu = spla.splu(A.tocsc(), permc_spec=PERMC_SPEC)
         except RuntimeError as exc:
             raise SingularFactor(str(exc)) from exc
+        setup_time = time.perf_counter() - t0
         u = lu.solve(F)
         res = np.linalg.norm(F - A @ u) / norm_f if norm_f > 0 else 0.0
         return u, SolveStats(
@@ -102,10 +128,13 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
             residual=res,
             wall_time=time.perf_counter() - t0,
             method="direct",
-            converged=bool(np.isfinite(u).all()),
+            converged=bool(np.isfinite(u).all() and res <= config.rel_residual_tol),
+            setup_time=setup_time,
+            fill=_fill(lu, A),
         )
 
-    M, prec_name = _make_preconditioner(A, config.preconditioner)
+    M, prec_name, fill = _make_preconditioner(A, config.preconditioner)
+    setup_time = time.perf_counter() - t0
     history: list[float] = []
     cycles = max(1, math.ceil(config.max_iterations / config.restart))
     u, info = spla.gmres(
@@ -129,5 +158,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
         wall_time=time.perf_counter() - t0,
         method=f"gmres({config.restart})+{prec_name}",
         converged=(res <= config.rel_residual_tol),
+        setup_time=setup_time,
+        fill=fill,
         residual_history=history,
     )

@@ -8,6 +8,7 @@ from sdfem.harness import (
     ConfigError,
     ExperimentConfig,
     TableArtifact,
+    emit_error_grid,
     emit_table,
     render_table,
     run_experiment,
@@ -100,6 +101,14 @@ class TestRunExperiment:
         (again,) = run_experiment(ExperimentConfig(**SMALL))
         assert render_table(again, "csv") == render_table(artifact, "csv")
 
+    def test_solver_metadata(self, artifact):
+        entries = artifact.metadata["solver"]
+        assert [e["N"] for e in entries] == [8, 16]
+        for e in entries:
+            assert e["method"] == "gmres(60)+ilut"
+            assert e["setup_time"] >= 0.0
+            assert e["fill"] > 1.0
+
     def test_emit_table(self, artifact, tmp_path):
         path = tmp_path / "t.csv"
         emit_table(artifact, "csv", str(path))
@@ -153,6 +162,34 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["point_fields"] == ["x", "y", "sigma_x", "sigma_y", "abs_error"]
         assert len(payload["points"]) == (8 * 2) ** 2
+
+    def test_grid_bytes_match_json_dump(self, tmp_path):
+        out = tmp_path / "grid.json"
+        payload = emit_error_grid("paper-benchmark", 8, 1e-16, DeltaVariant.MODIFIED, 0.5, 2,
+                                  str(out))
+        ref = tmp_path / "ref.json"
+        with open(ref, "w") as fh:
+            json.dump(payload, fh)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_grid_unconverged_fails(self, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        code = main(["grid", "--N", "64", "--eps", "1e-8", "--restart", "1",
+                     "--precond", "none", "--tol", "1e-9", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "did not converge" in err and "iterations" in err and "1.000e-09" in err
+
+    def test_precond_ilu0_spelling(self, tmp_path):
+        for name in ("ilut", "ilu0"):
+            out = tmp_path / f"{name}.json"
+            code = main(["run", "--N", "8", "--eps", "1e-8", "--precond", name,
+                         "--format", "json", "--out", str(out)])
+            assert code == 0
+            (entry,) = json.loads(out.read_text())["metadata"]["solver"]
+            assert entry["method"] == "gmres(60)+ilut"
 
     def test_mesh_dump(self, tmp_path):
         out = tmp_path / "mesh.txt"

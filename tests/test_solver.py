@@ -45,6 +45,18 @@ class TestSmallSystems:
         )
         assert np.allclose(u, [1.0, 1.0], atol=1e-14)
         assert stats.method == "direct"
+        assert stats.converged
+
+    def test_direct_method_unconverged_on_residual(self):
+        # Hilbert matrix of order 12 (condition ~1e16): LU returns a finite
+        # solution whose recomputed residual is far above the tolerance
+        i = np.arange(12)
+        hilbert = 1.0 / (i[:, None] + i[None, :] + 1.0)
+        u, stats = solve(system_of(hilbert, np.ones(12)),
+                         SolverConfig(method=SolveMethod.DIRECT_LU))
+        assert np.isfinite(u).all()
+        assert stats.residual > 1e-10
+        assert not stats.converged
 
     def test_singular_matrix_raises(self):
         singular = [[1.0, 1.0], [1.0, 1.0]]
@@ -101,6 +113,26 @@ class TestBenchmarkSystems:
             u, stats = solve(system, SolverConfig(preconditioner=pc))
             assert stats.converged, pc
             assert stats.residual <= 1e-10
+
+    def test_factor_cost_recorded(self):
+        system = bench_system(16)
+        _, stats = solve(system)
+        assert stats.method == "gmres(60)+ilut"
+        assert stats.fill > 1.0
+        assert 0.0 <= stats.setup_time <= stats.wall_time
+        _, stats = solve(system, SolverConfig(preconditioner=Preconditioner.JACOBI))
+        assert stats.method == "gmres(60)+jacobi"
+        assert stats.fill is None and stats.setup_time >= 0.0
+
+    def test_fill_reducing_ordering(self):
+        # stored factor entries / nnz(A) at N=64 read LU 9.39 and ILUT 3.78
+        # under SuperLU's default COLAMD, and 6.18 and 3.16 under MMD on the
+        # pattern of A'+A
+        system = bench_system(64)
+        _, lu = solve(system, SolverConfig(method=SolveMethod.DIRECT_LU))
+        _, ilu = solve(system)
+        assert lu.fill <= 7.5
+        assert ilu.fill <= 3.4
 
     def test_tiny_eps_system_solvable(self):
         system = bench_system(16, eps=1e-16)
