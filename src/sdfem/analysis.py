@@ -45,24 +45,23 @@ class DiscreteFunction:
         return cls(mesh=mesh, values=vals)
 
     def corner_values(self):
-        """Per-cell corner arrays (v00, v10, v11, v01), flat cell order."""
-        N = self.mesh.N
-        I = np.tile(np.arange(N), N)
-        J = np.repeat(np.arange(N), N)
+        """Per-cell corner arrays (v00, v10, v11, v01), each an (N, N) view
+        of `values` holding cell (i, j) at [j, i]."""
         v = self.values
-        return v[I, J], v[I + 1, J], v[I + 1, J + 1], v[I, J + 1]
+        return v[:-1, :-1].T, v[1:, :-1].T, v[1:, 1:].T, v[:-1, 1:].T
 
 
 def interpolant(problem: ProblemSpec, mesh: ShishkinMesh2D) -> DiscreteFunction:
     """Nodal interpolant of the exact solution (layer nodes via offsets)."""
-    exact = problem.require_exact()
-    xs = mesh.x_axis.nodes
-    ys = mesh.y_axis.nodes
-    sx = mesh.x_axis.node_sigma
-    sy = mesh.y_axis.node_sigma
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    SX, SY = np.meshgrid(sx, sy, indexing="ij")
-    return DiscreteFunction(mesh=mesh, values=np.asarray(exact.value(X, Y, SX, SY)))
+    return DiscreteFunction(mesh=mesh, values=_nodal_exact(problem.require_exact(), mesh))
+
+
+def _nodal_exact(exact, mesh: ShishkinMesh2D) -> np.ndarray:
+    """Exact solution at every node, [i, j] for (x_i, y_j); layer nodes
+    via their offsets."""
+    ax, ay = mesh.x_axis, mesh.y_axis
+    return np.asarray(exact.value(ax.nodes[:, None], ay.nodes[None, :],
+                                  ax.node_sigma[:, None], ay.node_sigma[None, :]))
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,10 @@ class ErrorComputation:
         corners = u_h.corner_values()
         mu0 = problem.mu0
 
-        grad2 = np.zeros(mesh.N ** 2)
-        l2 = np.zeros(mesh.N ** 2)
-        stab = np.zeros(mesh.N ** 2)
+        shape = (mesh.N, mesh.N)
+        grad2 = np.zeros(shape)
+        l2 = np.zeros(shape)
+        stab = np.zeros(shape)
         for p in cell_points(mesh, QuadratureRule.gauss(quad_order)):
             uh = p.value(corners)
             uh_x, uh_y = p.gradient(corners)
@@ -122,13 +122,7 @@ class ErrorComputation:
 
         # nodal errors for the max-norm column of the report
         if exact is not None:
-            xs, ys = mesh.x_axis.nodes, mesh.y_axis.nodes
-            sxn, syn = mesh.x_axis.node_sigma, mesh.y_axis.node_sigma
-            Xn, Yn = np.meshgrid(xs, ys, indexing="ij")
-            SXn, SYn = np.meshgrid(sxn, syn, indexing="ij")
-            self.nodal_abs_err = np.abs(
-                np.asarray(exact.value(Xn, Yn, SXn, SYn)) - u_h.values
-            )
+            self.nodal_abs_err = np.abs(_nodal_exact(exact, mesh) - u_h.values)
         else:
             self.nodal_abs_err = np.abs(u_h.values)
 
@@ -140,16 +134,14 @@ class ErrorComputation:
         eps_norm = math.sqrt(eg + ml)
         sd_norm = math.sqrt(eg + ml + st)
 
-        # nodes touching a cell of the region
-        N = self.mesh.N
-        node_mask = np.zeros((N + 1, N + 1), dtype=bool)
-        cells = np.nonzero(mask)[0]
-        ci = cells % N
-        cj = cells // N
-        for di in (0, 1):
-            for dj in (0, 1):
-                node_mask[ci + di, cj + dj] = True
-        max_nodal = float(np.max(self.nodal_abs_err[node_mask])) if cells.size else 0.0
+        # nodes touching a cell of the region; nodes are [i, j], cells [j, i]
+        cells = mask.T
+        node_mask = np.zeros(self.nodal_abs_err.shape, dtype=bool)
+        node_mask[:-1, :-1] |= cells
+        node_mask[1:, :-1] |= cells
+        node_mask[1:, 1:] |= cells
+        node_mask[:-1, 1:] |= cells
+        max_nodal = float(np.max(self.nodal_abs_err[node_mask])) if mask.any() else 0.0
 
         return ErrorReport(
             region=region,
@@ -276,12 +268,16 @@ def pointwise_error_grid(
     midpoints = QuadratureRule(points=(np.arange(s) + 0.5) / s, weights=np.full(s, 1.0 / s))
     pts = list(cell_points(u_h.mesh, midpoints))
     pts = [pts[ia * s + ib] for ib in range(s) for ia in range(s)]  # x fastest
-    errs = [np.abs(np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - p.value(corners))
-            for p in pts]
+    shape = pts[0].weight.shape
+
+    def flat(arrays):
+        return np.stack([np.broadcast_to(a, shape) for a in arrays]).ravel()
+
     return ErrorGrid(
-        x=np.concatenate([p.X for p in pts]),
-        y=np.concatenate([p.Y for p in pts]),
-        sigma_x=np.concatenate([p.SX for p in pts]),
-        sigma_y=np.concatenate([p.SY for p in pts]),
-        abs_error=np.concatenate(errs),
+        x=flat(p.X for p in pts),
+        y=flat(p.Y for p in pts),
+        sigma_x=flat(p.SX for p in pts),
+        sigma_y=flat(p.SY for p in pts),
+        abs_error=flat(np.abs(np.asarray(exact.value(p.X, p.Y, p.SX, p.SY))
+                              - p.value(corners)) for p in pts),
     )

@@ -6,8 +6,8 @@ Subcommands:
   verify  run the built-in property suites (oracles, coercivity, regressions)
   mesh    dump the 1D breakpoint sets of a Shishkin mesh
 
-Exit codes: 0 success, 1 failed row, failed check or unconverged grid
-solve, 2 configuration error.
+Exit codes: 0 success, 1 failed row, failed check, or a grid solve that
+did not converge or broke down, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .harness import (
 )
 from .mesh import InvalidSpec, dump_mesh
 from .problem import PROBLEMS
-from .solver import Preconditioner, SolveMethod, SolverConfig
+from .solver import Breakdown, Preconditioner, SingularFactor, SolveMethod, SolverConfig
 from .stabilization import DeltaField, DeltaVariant
 
 
@@ -79,6 +79,9 @@ def cmd_run(args) -> int:
             path = f"{base}{suffix}.{ext}" if dot else f"{base}{suffix}"
         emit_table(art, args.format, path)
         print(f"wrote {path}")
+        for f in art.metadata.get("failures", ()):
+            print(f"failed: N={f['N']} eps={art.eps:.0e} {art.variant.value}: {f['error']}",
+                  file=sys.stderr)
     if args.dump_matrix:
         problem, mesh = build_case(args.problem, config.N_list[0], config.eps_list[0])
         delta = DeltaField.from_mesh(mesh, config.variants[0], config.c_star)
@@ -104,7 +107,7 @@ def cmd_grid(args) -> int:
             args.out,
             _solver_config(args),
         )
-    except Unconverged as exc:
+    except (Unconverged, Breakdown, SingularFactor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.out}")

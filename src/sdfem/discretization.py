@@ -57,7 +57,10 @@ class SparseSystem:
 class CellPoint:
     """One reference point (a, b) of [0, 1]^2 mapped into every cell.
 
-    Arrays run over flat cell ids (j*N + i). The basis function of corner
+    Cell (i, j) sits at index [j, i] of an (N, N) array. The x-axis arrays
+    X, SX and WX have shape (1, N) and the y-axis arrays Y, SY and WY shape
+    (N, 1), so a field of (X, Y) is evaluated on N abscissae per axis and
+    broadcast to (N, N); weight is (N, N). The basis function of corner
     LOCAL_NODES[k] = (di, dj) is nx[di] * ny[dj]; its physical gradient is
     (dphi_da[k] / WX, dphi_db[k] / WY).
     """
@@ -111,14 +114,11 @@ def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule):
     Offsets come from the exact cell offsets, not from 1 - X, so layer-cell
     points stay distinct down to eps = 1e-16.
     """
-    N = mesh.N
     ax, ay = mesh.x_axis, mesh.y_axis
-    WX = np.tile(ax.cell_width, N)
-    WY = np.repeat(ay.cell_width, N)
-    LX = np.tile(ax.cell_left, N)
-    LY = np.repeat(ay.cell_left, N)
-    SLX = np.tile(ax.cell_sigma_left, N)
-    SLY = np.repeat(ay.cell_sigma_left, N)
+    WX = ax.cell_width[None, :]
+    WY = ay.cell_width[:, None]
+    LX, SLX = ax.cell_left[None, :], ax.cell_sigma_left[None, :]
+    LY, SLY = ay.cell_left[:, None], ay.cell_sigma_left[:, None]
     area = WX * WY
     # coordinates depend on one reference coordinate only
     ys = [(LY + b * WY, SLY - b * WY) for b in rule.points]
@@ -160,18 +160,15 @@ def assemble_system(
     N = mesh.N
     eps = problem.epsilon
     in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
-    I = np.tile(np.arange(N), N)
-    J = np.repeat(np.arange(N), N)
 
-    dof = np.full((4, N * N), -1, dtype=np.int64)
-    interior = np.zeros((4, N * N), dtype=bool)
-    for k, (di, dj) in enumerate(LOCAL_NODES):
-        ii, jj = I + di, J + dj
-        interior[k] = (ii >= 1) & (ii <= N - 1) & (jj >= 1) & (jj <= N - 1)
-        dof[k] = (jj - 1) * (N - 1) + (ii - 1)
+    # dof of node (i, j) at [j, i]; -1 on the Dirichlet boundary
+    node_dof = np.full((N + 1, N + 1), -1, dtype=np.int64)
+    node_dof[1:N, 1:N] = np.arange((N - 1) ** 2).reshape(N - 1, N - 1)
+    dof = np.stack([node_dof[dj:dj + N, di:di + N] for di, dj in LOCAL_NODES])
+    interior = dof >= 0
 
     # matrix
-    Aloc = np.zeros((4, 4, N * N))
+    Aloc = np.zeros((4, 4, N, N))
     for p in cell_points(mesh, QuadratureRule.gauss(quad_order)):
         phi = p.phi
         gx, gy = p.basis_gradients()
@@ -190,7 +187,7 @@ def assemble_system(
                 )
 
     # right-hand side
-    Floc = np.zeros((4, N * N))
+    Floc = np.zeros((4, N, N))
     for p in cell_points(mesh, QuadratureRule.gauss(max(rhs_quad_order, quad_order))):
         phi = p.phi
         gx, gy = p.basis_gradients()

@@ -34,6 +34,15 @@ class Unconverged(RuntimeError):
     pass
 
 
+def _unconverged(stats: SolveStats, tol: float) -> Unconverged:
+    return Unconverged(f"solve did not converge: {stats.iterations} iterations, "
+                       f"residual {stats.residual:.3e} > tol {tol:.3e}")
+
+
+def _failure(N: int, exc: Exception) -> dict:
+    return {"N": N, "error": f"{type(exc).__name__}: {exc}"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str = "paper-benchmark"
@@ -170,13 +179,16 @@ def _fill_rates(records: list[ConvergenceRecord]) -> None:
 def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
     """One table per (eps, variant) over the configured N list.
 
-    Solver failures mark the row failed instead of aborting the sweep.
+    A failed case (an exception or an unconverged solve) marks its row
+    failed instead of aborting the sweep; metadata["failures"] then lists
+    {"N", "error"} per failed row.
     """
     artifacts = []
     for eps in config.eps_list:
         for variant in config.variants:
             records = []
             stats_summary = []
+            failures = []
             for N in config.N_list:
                 rec = ConvergenceRecord(N=N)
                 try:
@@ -185,15 +197,18 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                         config.solver, config.quad_order,
                         config.rhs_quad_order, config.error_quad_order,
                     )
-                except Exception:
+                except Exception as exc:
                     rec.failed = True
                     records.append(rec)
+                    failures.append(_failure(N, exc))
                     continue
                 if not case.stats.converged:
                     rec.failed = True
                     rec.solver_iters = case.stats.iterations
                     rec.residual = case.stats.residual
                     records.append(rec)
+                    failures.append(_failure(
+                        N, _unconverged(case.stats, config.solver.rel_residual_tol)))
                     continue
                 g = case.report(RegionSel.GLOBAL)
                 s = case.report(RegionSel.OMEGA_S)
@@ -209,12 +224,15 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                      "setup_time": case.stats.setup_time, "fill": case.stats.fill}
                 )
             _fill_rates(records)
+            metadata = {"problem": config.problem, "solver": stats_summary}
+            if failures:
+                metadata["failures"] = failures
             artifacts.append(TableArtifact(
                 eps=eps,
                 variant=variant,
                 c_star=config.c_star,
                 records=records,
-                metadata={"problem": config.problem, "solver": stats_summary},
+                metadata=metadata,
             ))
     return artifacts
 
@@ -290,10 +308,7 @@ def emit_error_grid(
     solver_config = solver_config or SolverConfig()
     case = run_single(problem_name, N, eps, variant, c_star, solver_config)
     if not case.stats.converged:
-        raise Unconverged(
-            f"solve did not converge: {case.stats.iterations} iterations, "
-            f"residual {case.stats.residual:.3e} > tol {solver_config.rel_residual_tol:.3e}"
-        )
+        raise _unconverged(case.stats, solver_config.rel_residual_tol)
     grid = pointwise_error_grid(case.comp.problem, case.u_h, samples_per_cell)
     payload = {
         "N": N,

@@ -156,13 +156,14 @@ def build_axis(spec: AxisSpec) -> Axis1D:
 class ShishkinMesh2D:
     """Tensor-product Shishkin mesh with per-cell region tags.
 
-    Cells are indexed (i, j) for [x_i, x_{i+1}] x [y_j, y_{j+1}]; the flat
-    cell id is j*N + i. Immutable after construction.
+    Cells are indexed (i, j) for [x_i, x_{i+1}] x [y_j, y_{j+1}]; per-cell
+    arrays have shape (N, N) and hold cell (i, j) at [j, i], so their
+    row-major flat index is j*N + i. Immutable after construction.
     """
 
     x_axis: Axis1D
     y_axis: Axis1D
-    cell_codes: np.ndarray = field(repr=False, default=None)  # (N*N,) uint8
+    cell_codes: np.ndarray = field(repr=False, default=None)  # (N, N) uint8, [j, i]
 
     @property
     def N(self) -> int:
@@ -186,10 +187,10 @@ class ShishkinMesh2D:
 
     def cell_region(self, i: int, j: int) -> RegionSel:
         """The one partitioning region that contains cell (i, j)."""
-        return RegionSel((int(self.cell_codes[j * self.N + i]),))
+        return RegionSel((int(self.cell_codes[j, i]),))
 
     def region_mask(self, region: RegionSel) -> np.ndarray:
-        """Boolean mask over flat cell ids."""
+        """Boolean (N, N) mask over the cells, cell (i, j) at [j, i]."""
         member = np.zeros(len(RegionSel.GLOBAL.value), dtype=bool)
         member[list(region.value)] = True
         return member[self.cell_codes]
@@ -206,7 +207,7 @@ def build_mesh(x_spec: AxisSpec, y_spec: AxisSpec) -> ShishkinMesh2D:
 
     i = np.arange(N)
     j = np.arange(N)
-    I, J = np.meshgrid(i, j)  # shape (N, N), J row-major -> flat id j*N+i
+    I, J = np.meshgrid(i, j)  # shape (N, N), cell (i, j) at [j, i]
     codes = np.empty((N, N), dtype=np.uint8)
     coarse_i = I < half
     coarse_j = J < half
@@ -217,7 +218,7 @@ def build_mesh(x_spec: AxisSpec, y_spec: AxisSpec) -> ShishkinMesh2D:
     codes[coarse_i & ~coarse_j] = _Y
     codes[~coarse_i & ~coarse_j] = _XY
 
-    return ShishkinMesh2D(x_axis=ax, y_axis=ay, cell_codes=codes.ravel())
+    return ShishkinMesh2D(x_axis=ax, y_axis=ay, cell_codes=codes)
 
 
 def classify_point(

@@ -119,7 +119,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
         try:
             lu = spla.splu(A.tocsc(), permc_spec=PERMC_SPEC)
         except RuntimeError as exc:
-            raise SingularFactor(str(exc)) from exc
+            raise SingularFactor(f"LU factorization failed: {exc}") from exc
         setup_time = time.perf_counter() - t0
         u = lu.solve(F)
         res = np.linalg.norm(F - A @ u) / norm_f if norm_f > 0 else 0.0

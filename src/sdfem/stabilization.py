@@ -51,7 +51,9 @@ class DeltaField:
         return (self.N == mesh.N and self.x_t == mesh.x_t and self.y_t == mesh.y_t)
 
     def evaluate_cells(self, in_omega_s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorized delta for quadrature points grouped by cell.
+        """Vectorized delta for quadrature points grouped by cell; x and y
+        broadcast against in_omega_s, as the (1, N) and (N, 1) coordinates
+        of cell_points do against the (N, N) cell mask.
 
         Cell membership comes from the mesh indices instead of comparing
         absolute coordinates against x_t/y_t. For very small eps the layer

@@ -85,7 +85,6 @@ class TestInterpolant:
         alphas = (np.arange(5) + 0.5) / 5.0
         for j in range(N // 2):
             for i in range(N // 2):
-                cell = j * N + i
                 x0 = m.x_axis.cell_left[i]
                 y0 = m.y_axis.cell_left[j]
                 wx = m.x_axis.cell_width[i]
@@ -94,10 +93,10 @@ class TestInterpolant:
                     for tb in alphas:
                         x, y = x0 + ta * wx, y0 + tb * wy
                         uh = (
-                            v00[cell] * (1 - ta) * (1 - tb)
-                            + v10[cell] * ta * (1 - tb)
-                            + v11[cell] * ta * tb
-                            + v01[cell] * (1 - ta) * tb
+                            v00[j, i] * (1 - ta) * (1 - tb)
+                            + v10[j, i] * ta * (1 - tb)
+                            + v11[j, i] * ta * tb
+                            + v01[j, i] * (1 - ta) * tb
                         )
                         worst = max(worst, abs(float(exact.value(x, y, 1 - x, 1 - y)) - uh))
         assert worst <= 4.0 * max(16.0**-2, 16.0**-2.5)

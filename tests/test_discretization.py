@@ -78,6 +78,24 @@ def rows_touching(m, mask):
             if 1 <= c % N + di <= N - 1 and 1 <= c // N + dj <= N - 1}
 
 
+class TestCellPoints:
+    def test_broadcast_layout(self):
+        # x-axis arrays are (1, N), y-axis arrays (N, 1); at eps = 1e-16 the
+        # layer-cell offsets come from the exact cell offsets and stay > 0
+        _, m = bench(N=8, eps=1e-16)
+        N, half = m.N, m.N // 2
+        ax, ay = m.x_axis, m.y_axis
+        for p in cell_points(m, QuadratureRule.gauss(3)):
+            assert p.X.shape == p.SX.shape == p.WX.shape == (1, N)
+            assert p.Y.shape == p.SY.shape == p.WY.shape == (N, 1)
+            assert p.weight.shape == (N, N)
+            a, b = p.nx[1], p.ny[1]
+            sx = ax.cell_sigma_left[half:] - a * ax.cell_width[half:]
+            sy = ay.cell_sigma_left[half:] - b * ay.cell_width[half:]
+            assert np.array_equal(p.SX[0, half:], sx) and np.all(sx > 0.0)
+            assert np.array_equal(p.SY[half:, 0], sy) and np.all(sy > 0.0)
+
+
 class TestElementalMatrices:
     def test_single_cell_laplace_closed_form(self):
         # stiffness of the bilinear element for -Lap on a square cell is
@@ -134,7 +152,7 @@ class TestAssembly:
         oracle = dense_sdfem_matrix(m, p, DeltaVariant.STANDARD, 1e-300)
         assert np.allclose(tiny, oracle, rtol=1e-12, atol=1e-300)
 
-    @pytest.mark.parametrize("eps", [0.1, 1e-8])
+    @pytest.mark.parametrize("eps", [0.1, 1e-8, 1e-16])
     @pytest.mark.parametrize("variant", list(DeltaVariant))
     def test_matrix_matches_dense_bruteforce(self, eps, variant):
         p, m = bench(N=4, eps=eps)

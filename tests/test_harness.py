@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from sdfem import harness, solver
 from sdfem.cli import main
 from sdfem.harness import (
     CSV_HEADER,
@@ -108,6 +110,26 @@ class TestRunExperiment:
             assert e["method"] == "gmres(60)+ilut"
             assert e["setup_time"] >= 0.0
             assert e["fill"] > 1.0
+        assert "failures" not in artifact.metadata
+
+    def test_failed_row_keeps_reason(self, monkeypatch, tmp_path, capsys):
+        def boom(system, config):
+            raise RuntimeError(f"boom at {system.dimension} dofs")
+
+        monkeypatch.setattr(harness, "solve", boom)
+        out = tmp_path / "t.json"
+        code = main(["run", "--N", "8,16", "--eps", "1e-8", "--format", "json",
+                     "--out", str(out)])
+        assert code == 1
+        payload = json.loads(out.read_text())
+        assert all(r["failed"] for r in payload["records"])
+        assert payload["metadata"]["failures"] == [
+            {"N": 8, "error": "RuntimeError: boom at 49 dofs"},
+            {"N": 16, "error": "RuntimeError: boom at 225 dofs"},
+        ]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["failed: N=8 eps=1e-08 standard: RuntimeError: boom at 49 dofs",
+                       "failed: N=16 eps=1e-08 standard: RuntimeError: boom at 225 dofs"]
 
     def test_emit_table(self, artifact, tmp_path):
         path = tmp_path / "t.csv"
@@ -181,6 +203,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "did not converge" in err and "iterations" in err and "1.000e-09" in err
+
+    def test_grid_singular_factor_fails(self, monkeypatch, tmp_path, capsys):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver.spla, "splu", singular)
+        out = tmp_path / "grid.json"
+        code = main(["grid", "--N", "8", "--eps", "1e-8", "--solver", "direct",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: LU factorization failed: Factor is exactly singular\n"
+
+    def test_grid_breakdown_fails(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(solver.spla, "gmres", lambda A, b, **kw: (np.zeros_like(b), -1))
+        out = tmp_path / "grid.json"
+        code = main(["grid", "--N", "8", "--eps", "1e-8", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: GMRES illegal input or breakdown (info=-1)\n"
 
     def test_precond_ilu0_spelling(self, tmp_path):
         for name in ("ilut", "ilu0"):

@@ -113,7 +113,7 @@ class TestMesh2D:
             mesh.region_mask(RegionSel.OMEGA_Y),
             mesh.region_mask(RegionSel.OMEGA_XY),
         ]
-        assert np.array_equal(sum(m.astype(int) for m in masks), np.ones(16 * 16, dtype=int))
+        assert np.array_equal(sum(m.astype(int) for m in masks), np.ones((16, 16), dtype=int))
         assert int(mesh.region_mask(RegionSel.GLOBAL).sum()) == 16 * 16
         inner = mesh.region_mask(RegionSel.OMEGA_S_EPS)
         strip = mesh.region_mask(RegionSel.OMEGA_S_EPS_COMPLEMENT)

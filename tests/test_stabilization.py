@@ -67,7 +67,7 @@ class TestDelta:
             _, m = bench(eps=eps)
             in_omega_s = m.region_mask(RegionSel.OMEGA_S)
             I, J = np.meshgrid(np.arange(m.N), np.arange(m.N))
-            assert np.array_equal(in_omega_s, ((I < m.N // 2) & (J < m.N // 2)).ravel())
+            assert np.array_equal(in_omega_s, (I < m.N // 2) & (J < m.N // 2))
             for variant in DeltaVariant:
                 d = DeltaField.from_mesh(m, variant, 0.5)
                 for p in cell_points(m, QuadratureRule.gauss(3)):
@@ -108,10 +108,10 @@ class TestVectorizedEvaluation:
             d = DeltaField.from_mesh(m, variant, 0.7)
             for p in cell_points(m, QuadratureRule.gauss(3)):
                 vec = d.evaluate_cells(m.region_mask(RegionSel.OMEGA_S), p.X, p.Y)
-                for cell in range(N * N):
-                    i, j = cell % N, cell // N
-                    want = delta_at(m, variant, 0.7, i, j, float(p.X[cell]), float(p.Y[cell]))
-                    assert vec[cell] == pytest.approx(want, rel=1e-12, abs=0.0)
+                for j in range(N):
+                    for i in range(N):
+                        want = delta_at(m, variant, 0.7, i, j, float(p.X[0, i]), float(p.Y[j, 0]))
+                        assert vec[j, i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestAdmissibleCstar:
