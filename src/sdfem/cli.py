@@ -7,7 +7,7 @@ Subcommands:
   mesh    dump the 1D breakpoint sets of a Shishkin mesh
 
 Exit codes: 0 success, 1 failed row, failed check, or a grid solve that
-did not converge or broke down, 2 configuration error.
+did not converge, broke down or ran out of memory, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -79,9 +79,12 @@ def cmd_run(args) -> int:
             path = f"{base}{suffix}.{ext}" if dot else f"{base}{suffix}"
         emit_table(art, args.format, path)
         print(f"wrote {path}")
+        case = f"eps={art.eps:.0e} {art.variant.value}"
+        for entry in art.metadata["solver"]:
+            if "fallback" in entry:
+                print(f"fallback: N={entry['N']} {case}: {entry['fallback']}", file=sys.stderr)
         for f in art.metadata.get("failures", ()):
-            print(f"failed: N={f['N']} eps={art.eps:.0e} {art.variant.value}: {f['error']}",
-                  file=sys.stderr)
+            print(f"failed: N={f['N']} {case}: {f['error']}", file=sys.stderr)
     if args.dump_matrix:
         problem, mesh = build_case(args.problem, config.N_list[0], config.eps_list[0])
         delta = DeltaField.from_mesh(mesh, config.variants[0], config.c_star)
@@ -109,6 +112,9 @@ def cmd_grid(args) -> int:
         )
     except (Unconverged, Breakdown, SingularFactor) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     print(f"wrote {args.out}")
     return 0

@@ -3,6 +3,7 @@ assemble -> solve -> analyze, and emit convergence tables and pointwise
 error grids."""
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -12,6 +13,7 @@ import numpy as np
 from .analysis import (
     DiscreteFunction,
     ErrorComputation,
+    ErrorGrid,
     RegionSel,
     interpolant,
     layer_integral_oracle,
@@ -78,9 +80,17 @@ class CaseResult:
     eps: float
     variant: DeltaVariant
     c_star: float
-    comp: ErrorComputation
+    problem: ProblemSpec
+    delta: DeltaField
     u_h: DiscreteFunction
     stats: SolveStats
+    error_quad_order: int = 5
+
+    @functools.cached_property
+    def comp(self) -> ErrorComputation:
+        """The error norms of u_h, computed on first use."""
+        return ErrorComputation(self.u_h, self.delta, self.problem, use_exact=True,
+                                quad_order=self.error_quad_order)
 
     def report(self, region: RegionSel):
         return self.comp.report(region)
@@ -106,15 +116,15 @@ def run_single(
     rhs_quad_order: int = 5,
     error_quad_order: int = 5,
 ) -> CaseResult:
-    """Assemble, solve and analyze one (N, eps, variant) case."""
+    """Assemble and solve one (N, eps, variant) case; its error norms are
+    computed on the first report()."""
     problem, mesh = build_case(problem_name, N, eps)
     delta = DeltaField.from_mesh(mesh, variant, c_star)
     system = assemble_system(mesh, problem, delta, quad_order, rhs_quad_order)
     u, stats = solve(system, solver_config or SolverConfig())
     u_h = DiscreteFunction.from_dof_vector(mesh, u)
-    comp = ErrorComputation(u_h, delta, problem, use_exact=True, quad_order=error_quad_order)
-    return CaseResult(N=N, eps=eps, variant=variant, c_star=c_star,
-                      comp=comp, u_h=u_h, stats=stats)
+    return CaseResult(N=N, eps=eps, variant=variant, c_star=c_star, problem=problem,
+                      delta=delta, u_h=u_h, stats=stats, error_quad_order=error_quad_order)
 
 
 @dataclass
@@ -181,7 +191,8 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
 
     A failed case (an exception or an unconverged solve) marks its row
     failed instead of aborting the sweep; metadata["failures"] then lists
-    {"N", "error"} per failed row.
+    {"N", "error"} per failed row. A row whose preconditioner fell back
+    carries the reason as "fallback" in its metadata["solver"] entry.
     """
     artifacts = []
     for eps in config.eps_list:
@@ -197,6 +208,9 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                         config.solver, config.quad_order,
                         config.rhs_quad_order, config.error_quad_order,
                     )
+                    if case.stats.converged:
+                        g = case.report(RegionSel.GLOBAL)
+                        s = case.report(RegionSel.OMEGA_S)
                 except Exception as exc:
                     rec.failed = True
                     records.append(rec)
@@ -210,8 +224,6 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                     failures.append(_failure(
                         N, _unconverged(case.stats, config.solver.rel_residual_tol)))
                     continue
-                g = case.report(RegionSel.GLOBAL)
-                s = case.report(RegionSel.OMEGA_S)
                 rec.e_eps_global = g.eps_norm
                 rec.e_sd_global = g.sd_norm
                 rec.e_eps_omegas = s.eps_norm
@@ -219,10 +231,11 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                 rec.solver_iters = case.stats.iterations
                 rec.residual = case.stats.residual
                 records.append(rec)
-                stats_summary.append(
-                    {"N": N, "iters": case.stats.iterations, "method": case.stats.method,
-                     "setup_time": case.stats.setup_time, "fill": case.stats.fill}
-                )
+                entry = {"N": N, "iters": case.stats.iterations, "method": case.stats.method,
+                         "setup_time": case.stats.setup_time, "fill": case.stats.fill}
+                if case.stats.fallback:
+                    entry["fallback"] = case.stats.fallback
+                stats_summary.append(entry)
             _fill_rates(records)
             metadata = {"problem": config.problem, "solver": stats_summary}
             if failures:
@@ -299,7 +312,7 @@ def emit_error_grid(
     samples_per_cell: int,
     path: str,
     solver_config: SolverConfig | None = None,
-) -> dict:
+) -> ErrorGrid:
     """Solve one case and dump the pointwise error grid as JSON. Layer
     points carry the exact offsets alongside the lossy absolute coords.
 
@@ -309,23 +322,50 @@ def emit_error_grid(
     case = run_single(problem_name, N, eps, variant, c_star, solver_config)
     if not case.stats.converged:
         raise _unconverged(case.stats, solver_config.rel_residual_tol)
-    grid = pointwise_error_grid(case.comp.problem, case.u_h, samples_per_cell)
-    payload = {
+    grid = pointwise_error_grid(case.problem, case.u_h, samples_per_cell)
+    head = {
         "N": N,
         "eps": eps,
         "variant": variant.value,
         "cstar": c_star,
         "samples_per_cell": samples_per_cell,
         "point_fields": ["x", "y", "sigma_x", "sigma_y", "abs_error"],
-        "points": np.column_stack(
-            [grid.x, grid.y, grid.sigma_x, grid.sigma_y, grid.abs_error]
-        ).tolist(),
     }
-    # json.dumps without indent runs the C encoder; json.dump streams
-    # through the pure-Python one. The bytes are the same.
+    text = _with_points_json(head, grid, N, samples_per_cell)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload))
-    return payload
+        fh.write(text)
+    return grid
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each value spelled as json.dumps spells it (repr when finite)."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def _with_points_json(head: dict, grid: ErrorGrid, N: int, s: int) -> str:
+    """The bytes of json.dumps({**head, "points": [[x, y, sigma_x, sigma_y,
+    abs_error], ...]}), with each coordinate spelled once per axis value.
+
+    pointwise_error_grid orders the points by sub-point row b, sub-point
+    column a, cell row j and cell column i, so x and sigma_x depend on (a, i)
+    only and y and sigma_y on (b, j) only.
+    """
+    by_axis = (s, s, N, N)
+    x, sigma_x = (_json_floats(v.reshape(by_axis)[0, :, 0, :].ravel())
+                  for v in (grid.x, grid.sigma_x))
+    y, sigma_y = (_json_floats(v.reshape(by_axis)[:, 0, :, 0].ravel())
+                  for v in (grid.y, grid.sigma_y))
+    errors = _json_floats(grid.abs_error)
+    rows = []
+    for b in range(s):
+        for a in range(s):
+            xa, sxa = x[a * N:(a + 1) * N], sigma_x[a * N:(a + 1) * N]
+            for j in range(N):
+                yb, syb = y[b * N + j], sigma_y[b * N + j]
+                k = ((b * s + a) * N + j) * N
+                rows.append(", ".join([f"[{xi}, {yb}, {sxi}, {syb}, {e}]" for xi, sxi, e
+                                       in zip(xa, sxa, errors[k:k + N])]))
+    return json.dumps(head)[:-1] + ', "points": [' + ", ".join(rows) + "]}"
 
 
 # Property checks shared by `sdfem verify` and the acceptance tests; the

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -110,6 +111,7 @@ class TestRunExperiment:
             assert e["method"] == "gmres(60)+ilut"
             assert e["setup_time"] >= 0.0
             assert e["fill"] > 1.0
+            assert "fallback" not in e
         assert "failures" not in artifact.metadata
 
     def test_failed_row_keeps_reason(self, monkeypatch, tmp_path, capsys):
@@ -130,6 +132,22 @@ class TestRunExperiment:
         err = capsys.readouterr().err.splitlines()
         assert err == ["failed: N=8 eps=1e-08 standard: RuntimeError: boom at 49 dofs",
                        "failed: N=16 eps=1e-08 standard: RuntimeError: boom at 225 dofs"]
+
+    def test_preconditioner_fallback_reported(self, monkeypatch, tmp_path, capsys):
+        def zero_pivot(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver.spla, "spilu", zero_pivot)
+        out = tmp_path / "t.json"
+        code = main(["run", "--N", "8", "--eps", "1e-8", "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        (entry,) = json.loads(out.read_text())["metadata"]["solver"]
+        assert entry["method"] == "gmres(60)+jacobi"
+        assert entry["fallback"] == "ilut failed: Factor is exactly singular; used jacobi"
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fallback: N=8 eps=1e-08 standard: "
+                       "ilut failed: Factor is exactly singular; used jacobi"]
 
     def test_emit_table(self, artifact, tmp_path):
         path = tmp_path / "t.csv"
@@ -187,12 +205,21 @@ class TestCli:
 
     def test_grid_bytes_match_json_dump(self, tmp_path):
         out = tmp_path / "grid.json"
-        payload = emit_error_grid("paper-benchmark", 8, 1e-16, DeltaVariant.MODIFIED, 0.5, 2,
-                                  str(out))
-        ref = tmp_path / "ref.json"
-        with open(ref, "w") as fh:
-            json.dump(payload, fh)
-        assert out.read_bytes() == ref.read_bytes()
+        for N, eps, s in itertools.product((8, 12), (1e-8, 1e-16), (1, 2, 3)):
+            grid = emit_error_grid("paper-benchmark", N, eps, DeltaVariant.MODIFIED, 0.5, s,
+                                   str(out))
+            payload = {
+                "N": N,
+                "eps": eps,
+                "variant": "modified",
+                "cstar": 0.5,
+                "samples_per_cell": s,
+                "point_fields": ["x", "y", "sigma_x", "sigma_y", "abs_error"],
+                "points": np.column_stack(
+                    [grid.x, grid.y, grid.sigma_x, grid.sigma_y, grid.abs_error]
+                ).tolist(),
+            }
+            assert out.read_bytes() == json.dumps(payload).encode(), (N, eps, s)
 
     def test_grid_unconverged_fails(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
@@ -216,6 +243,19 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err == "error: LU factorization failed: Factor is exactly singular\n"
+
+    def test_grid_out_of_memory_fails(self, monkeypatch, tmp_path, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("SUPERLU_MALLOC fails for buf in LUMemInit()")
+
+        monkeypatch.setattr(solver.spla, "splu", exhausted)
+        out = tmp_path / "grid.json"
+        code = main(["grid", "--N", "8", "--eps", "1e-8", "--solver", "direct",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: SUPERLU_MALLOC fails for buf in LUMemInit()\n"
 
     def test_grid_breakdown_fails(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(solver.spla, "gmres", lambda A, b, **kw: (np.zeros_like(b), -1))

@@ -10,6 +10,7 @@ from sdfem.solver import (
     SingularFactor,
     SolveMethod,
     SolverConfig,
+    nested_dissection,
     solve,
 )
 from sdfem.stabilization import DeltaField, DeltaVariant
@@ -63,10 +64,30 @@ class TestSmallSystems:
         with pytest.raises(SingularFactor):
             solve(system_of(singular, [1.0, 1.0]), SolverConfig(method=SolveMethod.DIRECT_LU))
 
+    def test_jacobi_fallback_recorded(self):
+        # a zero on the diagonal leaves Jacobi nothing to invert
+        u, stats = solve(system_of([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0]),
+                         SolverConfig(preconditioner=Preconditioner.JACOBI))
+        assert np.allclose(u, [3.0, 2.0], atol=1e-12)
+        assert stats.method == "gmres(60)+none"
+        assert stats.fallback == "jacobi failed: zero on the diagonal; used none"
+
     def test_shape_validation(self):
         bad = SparseSystem(matrix=sp.csr_matrix(np.ones((2, 3))), rhs=np.ones(2))
         with pytest.raises(ValueError):
             solve(bad)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("m", [1, 2, 3, 12, 63**2, 511**2])
+    def test_is_permutation(self, m):
+        perm = nested_dissection(m)
+        assert np.array_equal(np.sort(perm), np.arange(m))
+
+    def test_first_separator_last(self):
+        # the middle column of the 63 x 63 dof grid separates the rest
+        perm = nested_dissection(63**2)
+        assert np.array_equal(perm[-63:], 31 + 63 * np.arange(63))
 
 
 class TestConfig:
@@ -120,6 +141,7 @@ class TestBenchmarkSystems:
         assert stats.method == "gmres(60)+ilut"
         assert stats.fill > 1.0
         assert 0.0 <= stats.setup_time <= stats.wall_time
+        assert stats.fallback is None
         _, stats = solve(system, SolverConfig(preconditioner=Preconditioner.JACOBI))
         assert stats.method == "gmres(60)+jacobi"
         assert stats.fill is None and stats.setup_time >= 0.0
@@ -127,11 +149,12 @@ class TestBenchmarkSystems:
     def test_fill_reducing_ordering(self):
         # stored factor entries / nnz(A) at N=64 read LU 9.39 and ILUT 3.78
         # under SuperLU's default COLAMD, and 6.18 and 3.16 under MMD on the
-        # pattern of A'+A
+        # pattern of A'+A; LU in nested-dissection order reads 5.69
         system = bench_system(64)
         _, lu = solve(system, SolverConfig(method=SolveMethod.DIRECT_LU))
         _, ilu = solve(system)
         assert lu.fill <= 7.5
+        assert lu.fill <= 6.0
         assert ilu.fill <= 3.4
 
     def test_tiny_eps_system_solvable(self):
