@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import QuadratureRule, cell_points
+from .discretization import QuadratureRule, cell_points, row_strips
 from .mesh import RegionSel, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
@@ -75,8 +75,12 @@ class ErrorReport:
 
 class ErrorComputation:
     """Per-cell norm contributions of u - u_h, computed once and aggregated
-    over any region afterwards. With exact=None the norms of u_h itself are
-    computed (used for coercivity checks on discrete functions)."""
+    over any region afterwards. With use_exact=False the norms of u_h itself
+    are computed (used for coercivity checks on discrete functions).
+
+    The quadrature runs over row strips of cells (discretization.row_strips);
+    each cell's sums take the same operations in the same order whatever
+    the strip height."""
 
     def __init__(
         self,
@@ -101,20 +105,25 @@ class ErrorComputation:
         grad2 = np.zeros(shape)
         l2 = np.zeros(shape)
         stab = np.zeros(shape)
-        for p in cell_points(mesh, QuadratureRule.gauss(quad_order)):
-            uh = p.value(corners)
-            uh_x, uh_y = p.gradient(corners)
-            if exact is not None:
-                e = np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - uh
-                gx_ex, gy_ex = exact.gradient(p.X, p.Y, p.SX, p.SY)
-                ex = np.asarray(gx_ex) - uh_x
-                ey = np.asarray(gy_ex) - uh_y
-            else:
-                e, ex, ey = uh, uh_x, uh_y
-            grad2 += p.weight * (ex * ex + ey * ey)
-            l2 += p.weight * e * e
-            conv = problem.b1(p.X, p.Y) * ex + problem.b2(p.X, p.Y) * ey
-            stab += p.weight * delta_field.evaluate_cells(in_omega_s, p.X, p.Y) * conv * conv
+        rule = QuadratureRule.gauss(quad_order)
+        for rows in row_strips(mesh.N):
+            c = [v[rows] for v in corners]
+            g2, m2, s2 = grad2[rows], l2[rows], stab[rows]
+            for p in cell_points(mesh, rule, rows):
+                uh = p.value(c)
+                uh_x, uh_y = p.gradient(c)
+                if exact is not None:
+                    e = np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - uh
+                    gx_ex, gy_ex = exact.gradient(p.X, p.Y, p.SX, p.SY)
+                    ex = np.asarray(gx_ex) - uh_x
+                    ey = np.asarray(gy_ex) - uh_y
+                else:
+                    e, ex, ey = uh, uh_x, uh_y
+                g2 += p.weight * (ex * ex + ey * ey)
+                m2 += p.weight * e * e
+                conv = problem.b1(p.X, p.Y) * ex + problem.b2(p.X, p.Y) * ey
+                dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+                s2 += p.weight * dv * conv * conv
 
         self.cell_eps_grad2 = problem.epsilon * grad2
         self.cell_mu_l2 = mu0 * l2

@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
 
 def cmd_grid(args) -> int:
     try:
-        emit_error_grid(
+        _, stats = emit_error_grid(
             args.problem,
             args.N,
             args.eps,
@@ -116,6 +116,9 @@ def cmd_grid(args) -> int:
     except MemoryError as exc:
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
+    if stats.fallback:
+        print(f"fallback: N={args.N} eps={args.eps:.0e} {args.delta}: {stats.fallback}",
+              file=sys.stderr)
     print(f"wrote {args.out}")
     return 0
 

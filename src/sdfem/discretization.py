@@ -1,9 +1,12 @@
 """Q1 finite element machinery: the cell-point kernel (geometry and basis
-at reference points of every cell), Gauss quadrature and assembly of the
-stabilized system.
+at reference points of a strip of cell rows), Gauss quadrature and assembly
+of the stabilized system.
 
-Assembly is vectorized over cells; the accumulation order is fixed, so the
-assembled system is bit-reproducible.
+Assembly is vectorized over the cells of one row strip at a time, so its
+quadrature temporaries stay cache-sized. The element blocks are summed into
+the nine-point stencil of every interior node and written straight into
+CSR. The accumulation order is fixed, so the assembled system is
+bit-reproducible and does not depend on the strip height.
 """
 from __future__ import annotations
 
@@ -18,6 +21,11 @@ from .stabilization import DeltaField
 
 # local node order: (0,0), (1,0), (1,1), (0,1) in cell-corner coordinates
 LOCAL_NODES = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+# cells per row strip of the quadrature loops: a strip's (rows, N) float64
+# temporaries take 128 KiB each, so the ~16 alive at one quadrature point
+# fit in a 2 MiB L2 cache
+STRIP_CELLS = 16384
 
 
 class QuadratureOrderTooLow(ValueError):
@@ -55,12 +63,14 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class CellPoint:
-    """One reference point (a, b) of [0, 1]^2 mapped into every cell.
+    """One reference point (a, b) of [0, 1]^2 mapped into every cell of a
+    strip of R cell rows (R = N for the whole mesh).
 
-    Cell (i, j) sits at index [j, i] of an (N, N) array. The x-axis arrays
-    X, SX and WX have shape (1, N) and the y-axis arrays Y, SY and WY shape
-    (N, 1), so a field of (X, Y) is evaluated on N abscissae per axis and
-    broadcast to (N, N); weight is (N, N). The basis function of corner
+    Cell (i, j) of the strip sits at index [j - j0, i] of an (R, N) array,
+    j0 being the strip's first row. The x-axis arrays X, SX and WX have
+    shape (1, N) and the y-axis arrays Y, SY and WY shape (R, 1), so a
+    field of (X, Y) is evaluated on N + R abscissae and broadcast to
+    (R, N); weight is (R, N). The basis function of corner
     LOCAL_NODES[k] = (di, dj) is nx[di] * ny[dj]; its physical gradient is
     (dphi_da[k] / WX, dphi_db[k] / WY).
     """
@@ -107,18 +117,28 @@ class CellPoint:
         return gx, gy
 
 
-def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule):
-    """Map the tensor points of `rule` into every cell, one CellPoint per
-    point pair, the x reference coordinate outermost.
+def row_strips(N: int):
+    """Slices of consecutive cell rows, STRIP_CELLS // N rows each (at
+    least one), covering rows 0..N-1; a single strip for N <= 128."""
+    height = max(1, STRIP_CELLS // N)
+    return [slice(j, min(j + height, N)) for j in range(0, N, height)]
 
-    Offsets come from the exact cell offsets, not from 1 - X, so layer-cell
-    points stay distinct down to eps = 1e-16.
+
+def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule, rows: slice = slice(None)):
+    """Map the tensor points of `rule` into every cell of the cell rows
+    `rows`, one CellPoint per point pair, the x reference coordinate
+    outermost.
+
+    Only the y-axis arrays are sliced, so every cell gets the same
+    elementwise operations whatever strip it falls in. Offsets come from
+    the exact cell offsets, not from 1 - X, so layer-cell points stay
+    distinct down to eps = 1e-16.
     """
     ax, ay = mesh.x_axis, mesh.y_axis
     WX = ax.cell_width[None, :]
-    WY = ay.cell_width[:, None]
+    WY = ay.cell_width[rows, None]
     LX, SLX = ax.cell_left[None, :], ax.cell_sigma_left[None, :]
-    LY, SLY = ay.cell_left[:, None], ay.cell_sigma_left[:, None]
+    LY, SLY = ay.cell_left[rows, None], ay.cell_sigma_left[rows, None]
     area = WX * WY
     # coordinates depend on one reference coordinate only
     ys = [(LY + b * WY, SLY - b * WY) for b in rule.points]
@@ -136,6 +156,27 @@ def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule):
                 nx=(1.0 - a, a),
                 ny=(1.0 - b, b),
             )
+
+
+def _stencil_pattern(N: int):
+    """CSR structure of the nine-point stencil on the (N-1)^2 interior
+    dofs, dof (j-1)(N-1) + (i-1) for node (i, j).
+
+    Returns (keep, indptr, indices): keep[j-1, i-1, oj+1, oi+1] tells
+    whether node (i, j) couples to its neighbour (i+oi, j+oj), i.e. whether
+    that neighbour is interior. Row-major order of keep is sorted column
+    order.
+    """
+    n = N - 1
+    offsets = np.arange(-1, 2)
+    near = np.arange(n)[:, None] + offsets
+    inside = (near >= 0) & (near < n)
+    keep = inside[:, None, :, None] & inside[None, :, None, :]
+    shift = (offsets[:, None] * n + offsets[None, :]).ravel().astype(np.int32)
+    indices = (np.arange(n * n, dtype=np.int32)[:, None] + shift)[keep.reshape(n * n, 9)]
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=(2, 3)).ravel(), out=indptr[1:])
+    return keep, indptr, indices
 
 
 def assemble_system(
@@ -160,63 +201,69 @@ def assemble_system(
     N = mesh.N
     eps = problem.epsilon
     in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
-
-    # dof of node (i, j) at [j, i]; -1 on the Dirichlet boundary
-    node_dof = np.full((N + 1, N + 1), -1, dtype=np.int64)
-    node_dof[1:N, 1:N] = np.arange((N - 1) ** 2).reshape(N - 1, N - 1)
-    dof = np.stack([node_dof[dj:dj + N, di:di + N] for di, dj in LOCAL_NODES])
-    interior = dof >= 0
+    strips = row_strips(N)
 
     # matrix
     Aloc = np.zeros((4, 4, N, N))
-    for p in cell_points(mesh, QuadratureRule.gauss(quad_order)):
-        phi = p.phi
-        gx, gy = p.basis_gradients()
-        b1v = problem.b1(p.X, p.Y)
-        b2v = problem.b2(p.X, p.Y)
-        cv = problem.c(p.X, p.Y)
-        dv = delta_field.evaluate_cells(in_omega_s, p.X, p.Y)
-        conv = [b1v * gx[l] + b2v * gy[l] for l in range(4)]
-        resid = [conv[l] + cv * phi[l] for l in range(4)]
-        for k in range(4):
-            for l in range(4):
-                Aloc[k, l] += p.weight * (
-                    eps * (gx[l] * gx[k] + gy[l] * gy[k])
-                    + resid[l] * phi[k]
-                    + resid[l] * dv * conv[k]
-                )
+    rule = QuadratureRule.gauss(quad_order)
+    for rows in strips:
+        A_rows = Aloc[:, :, rows]
+        for p in cell_points(mesh, rule, rows):
+            phi = p.phi
+            gx, gy = p.basis_gradients()
+            b1v = problem.b1(p.X, p.Y)
+            b2v = problem.b2(p.X, p.Y)
+            cv = problem.c(p.X, p.Y)
+            dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+            conv = [b1v * gx[l] + b2v * gy[l] for l in range(4)]
+            resid = [conv[l] + cv * phi[l] for l in range(4)]
+            for k in range(4):
+                for l in range(4):
+                    A_rows[k, l] += p.weight * (
+                        eps * (gx[l] * gx[k] + gy[l] * gy[k])
+                        + resid[l] * phi[k]
+                        + resid[l] * dv * conv[k]
+                    )
 
     # right-hand side
     Floc = np.zeros((4, N, N))
-    for p in cell_points(mesh, QuadratureRule.gauss(max(rhs_quad_order, quad_order))):
-        phi = p.phi
-        gx, gy = p.basis_gradients()
-        b1v = problem.b1(p.X, p.Y)
-        b2v = problem.b2(p.X, p.Y)
-        dv = delta_field.evaluate_cells(in_omega_s, p.X, p.Y)
-        fv = problem.f(p.X, p.Y, p.SX, p.SY)
-        for k in range(4):
-            Floc[k] += p.weight * fv * (phi[k] + dv * (b1v * gx[k] + b2v * gy[k]))
+    rule = QuadratureRule.gauss(max(rhs_quad_order, quad_order))
+    for rows in strips:
+        F_rows = Floc[:, rows]
+        for p in cell_points(mesh, rule, rows):
+            phi = p.phi
+            gx, gy = p.basis_gradients()
+            b1v = problem.b1(p.X, p.Y)
+            b2v = problem.b2(p.X, p.Y)
+            dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+            fv = problem.f(p.X, p.Y, p.SX, p.SY)
+            for k in range(4):
+                F_rows[k] += p.weight * fv * (phi[k] + dv * (b1v * gx[k] + b2v * gy[k]))
 
-    ndofs = (N - 1) ** 2
-    rows, cols, data = [], [], []
+    # Node (i, j) is corner k = (di, dj) of cell (i - di, j - dj), so the
+    # interior nodes' corner-k entries are the [1-dj:N-dj, 1-di:N-di] slice
+    # of a per-cell array. Block (k, l) couples node k to its neighbour at
+    # offset (di_l - di_k, dj_l - dj_k); diagonals sum their four blocks in
+    # k order, every other offset sums at most two.
+    n = N - 1
+    corner = [(slice(1 - dj, N - dj), slice(1 - di, N - di)) for di, dj in LOCAL_NODES]
+    stencil = np.empty((3, 3, n, n))  # [oj+1, oi+1, j-1, i-1]
+    filled = set()
+    for k, (dik, djk) in enumerate(LOCAL_NODES):
+        for l, (dil, djl) in enumerate(LOCAL_NODES):
+            offset = (djl - djk + 1, dil - dik + 1)
+            block = Aloc[(k, l, *corner[k])]
+            if offset in filled:
+                stencil[offset] += block
+            else:
+                stencil[offset] = block
+                filled.add(offset)
+    keep, indptr, indices = _stencil_pattern(N)
+    data = stencil.transpose(2, 3, 0, 1)[keep]
+    A = sp.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
+
+    F = np.zeros((n, n))
     for k in range(4):
-        for l in range(4):
-            mask = interior[k] & interior[l]
-            rows.append(dof[k][mask])
-            cols.append(dof[l][mask])
-            data.append(Aloc[k, l][mask])
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndofs, ndofs),
-    ).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
+        F += Floc[(k, *corner[k])]
 
-    F = np.zeros(ndofs)
-    for k in range(4):
-        m = interior[k]
-        np.add.at(F, dof[k][m], Floc[k][m])
-
-    return SparseSystem(matrix=A, rhs=F)
-
+    return SparseSystem(matrix=A, rhs=F.ravel())

@@ -312,9 +312,10 @@ def emit_error_grid(
     samples_per_cell: int,
     path: str,
     solver_config: SolverConfig | None = None,
-) -> ErrorGrid:
+) -> tuple[ErrorGrid, SolveStats]:
     """Solve one case and dump the pointwise error grid as JSON. Layer
     points carry the exact offsets alongside the lossy absolute coords.
+    Returns the grid and the solve's stats.
 
     Raises Unconverged, and writes nothing, when the solve misses its
     residual tolerance."""
@@ -334,7 +335,7 @@ def emit_error_grid(
     text = _with_points_json(head, grid, N, samples_per_cell)
     with open(path, "w") as fh:
         fh.write(text)
-    return grid
+    return grid, case.stats
 
 
 def _json_floats(values: np.ndarray) -> list[str]:

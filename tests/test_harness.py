@@ -206,8 +206,8 @@ class TestCli:
     def test_grid_bytes_match_json_dump(self, tmp_path):
         out = tmp_path / "grid.json"
         for N, eps, s in itertools.product((8, 12), (1e-8, 1e-16), (1, 2, 3)):
-            grid = emit_error_grid("paper-benchmark", N, eps, DeltaVariant.MODIFIED, 0.5, s,
-                                   str(out))
+            grid, _ = emit_error_grid("paper-benchmark", N, eps, DeltaVariant.MODIFIED, 0.5, s,
+                                      str(out))
             payload = {
                 "N": N,
                 "eps": eps,
@@ -266,6 +266,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: GMRES illegal input or breakdown (info=-1)\n"
 
+    def test_grid_fallback_reported(self, monkeypatch, tmp_path, capsys):
+        def zero_pivot(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver.spla, "spilu", zero_pivot)
+        out = tmp_path / "grid.json"
+        code = main(["grid", "--N", "8", "--eps", "1e-8", "--out", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["points"]) == (8 * 3) ** 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fallback: N=8 eps=1e-08 standard: "
+                       "ilut failed: Factor is exactly singular; used jacobi"]
+
     def test_precond_ilu0_spelling(self, tmp_path):
         for name in ("ilut", "ilu0"):
             out = tmp_path / f"{name}.json"
@@ -305,6 +318,9 @@ class TestCli:
             ]
         )
         assert code == 0
-        first = mat.read_text().splitlines()[0].split()
-        assert len(first) == 3
-        int(first[0]), int(first[1]), float(first[2])
+        lines = [line.split() for line in mat.read_text().splitlines()]
+        assert all(len(fields) == 3 for fields in lines)
+        assert len(lines) == (3 * 8 - 5) ** 2  # one line per stored entry
+        keys = [(int(r), int(c)) for r, c, _ in lines]
+        assert keys == sorted(set(keys))  # row-major, sorted, no duplicates
+        float(lines[0][2])
