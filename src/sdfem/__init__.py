@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .analysis import (
     DiscreteFunction,
     ErrorReport,
-    error_norm,
     interpolant,
     layer_integral_oracle,
     pointwise_error_grid,
@@ -15,26 +14,7 @@ from .analysis import (
 )
 from .discretization import QuadratureRule, SparseSystem, assemble_system
 from .harness import ExperimentConfig, TableArtifact, emit_table, run_experiment, run_single
-from .mesh import (
-    Axis1D,
-    AxisSpec,
-    InvalidSpec,
-    OutOfDomain,
-    RegionSel,
-    ShishkinMesh2D,
-    build_axis,
-    build_mesh,
-    classify_point,
-)
-from .problem import (
-    ExactSolution,
-    NoExactSolution,
-    PROBLEMS,
-    ProblemSpec,
-    eval_exact,
-    eval_source,
-    make_benchmark,
-    validate_problem,
-)
+from .mesh import Axis1D, AxisSpec, InvalidSpec, RegionSel, ShishkinMesh2D, build_axis, build_mesh
+from .problem import PROBLEMS, ExactSolution, NoExactSolution, ProblemSpec, make_benchmark
 from .solver import Preconditioner, SolveMethod, SolveStats, SolverConfig, solve
 from .stabilization import DeltaField, DeltaVariant, admissible_cstar

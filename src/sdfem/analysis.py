@@ -121,7 +121,7 @@ class ErrorComputation:
                     e, ex, ey = uh, uh_x, uh_y
                 g2 += p.weight * (ex * ex + ey * ey)
                 m2 += p.weight * e * e
-                conv = problem.b1(p.X, p.Y) * ex + problem.b2(p.X, p.Y) * ey
+                conv = problem.b1 * ex + problem.b2 * ey
                 dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
                 s2 += p.weight * dv * conv * conv
 
@@ -159,21 +159,6 @@ class ErrorComputation:
             components=(eg, ml, st),
             max_nodal_error=max_nodal,
         )
-
-
-def error_norm(
-    problem: ProblemSpec,
-    u_h: DiscreteFunction,
-    delta_field: DeltaField,
-    region: RegionSel = RegionSel.GLOBAL,
-    quad_order: int = 5,
-) -> ErrorReport:
-    """Error norms of u - u_h over one region (see ErrorComputation for the
-    amortized multi-region path)."""
-    if quad_order < 4:
-        raise ValueError("error quadrature must use order >= 4")
-    comp = ErrorComputation(u_h, delta_field, problem, use_exact=True, quad_order=quad_order)
-    return comp.report(region)
 
 
 def sd_norm_discrete(

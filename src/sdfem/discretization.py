@@ -199,7 +199,7 @@ def assemble_system(
         raise MeshProblemMismatch("delta field was built on a different mesh")
 
     N = mesh.N
-    eps = problem.epsilon
+    eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
     in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
     strips = row_strips(N)
 
@@ -211,12 +211,9 @@ def assemble_system(
         for p in cell_points(mesh, rule, rows):
             phi = p.phi
             gx, gy = p.basis_gradients()
-            b1v = problem.b1(p.X, p.Y)
-            b2v = problem.b2(p.X, p.Y)
-            cv = problem.c(p.X, p.Y)
             dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
-            conv = [b1v * gx[l] + b2v * gy[l] for l in range(4)]
-            resid = [conv[l] + cv * phi[l] for l in range(4)]
+            conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
+            resid = [conv[l] + c * phi[l] for l in range(4)]
             for k in range(4):
                 for l in range(4):
                     A_rows[k, l] += p.weight * (
@@ -224,21 +221,6 @@ def assemble_system(
                         + resid[l] * phi[k]
                         + resid[l] * dv * conv[k]
                     )
-
-    # right-hand side
-    Floc = np.zeros((4, N, N))
-    rule = QuadratureRule.gauss(max(rhs_quad_order, quad_order))
-    for rows in strips:
-        F_rows = Floc[:, rows]
-        for p in cell_points(mesh, rule, rows):
-            phi = p.phi
-            gx, gy = p.basis_gradients()
-            b1v = problem.b1(p.X, p.Y)
-            b2v = problem.b2(p.X, p.Y)
-            dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
-            fv = problem.f(p.X, p.Y, p.SX, p.SY)
-            for k in range(4):
-                F_rows[k] += p.weight * fv * (phi[k] + dv * (b1v * gx[k] + b2v * gy[k]))
 
     # Node (i, j) is corner k = (di, dj) of cell (i - di, j - dj), so the
     # interior nodes' corner-k entries are the [1-dj:N-dj, 1-di:N-di] slice
@@ -258,9 +240,25 @@ def assemble_system(
             else:
                 stencil[offset] = block
                 filled.add(offset)
+    # the views go too, or they would keep the element blocks alive
+    del Aloc, A_rows, block
     keep, indptr, indices = _stencil_pattern(N)
     data = stencil.transpose(2, 3, 0, 1)[keep]
+    del stencil  # before the right-hand side allocates its own arrays
     A = sp.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
+
+    # right-hand side
+    Floc = np.zeros((4, N, N))
+    rule = QuadratureRule.gauss(max(rhs_quad_order, quad_order))
+    for rows in strips:
+        F_rows = Floc[:, rows]
+        for p in cell_points(mesh, rule, rows):
+            phi = p.phi
+            gx, gy = p.basis_gradients()
+            dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+            fv = problem.f(p.X, p.Y, p.SX, p.SY)
+            for k in range(4):
+                F_rows[k] += p.weight * fv * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k]))
 
     F = np.zeros((n, n))
     for k in range(4):

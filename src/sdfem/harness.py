@@ -45,6 +45,16 @@ def _failure(N: int, exc: Exception) -> dict:
     return {"N": N, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def _solver_entry(N: int, stats: SolveStats) -> dict:
+    """What the solve of case N did and cost; "fallback" only when its
+    preconditioner fell back."""
+    entry = {"N": N, "iters": stats.iterations, "method": stats.method,
+             "setup_time": stats.setup_time, "fill": stats.fill}
+    if stats.fallback:
+        entry["fallback"] = stats.fallback
+    return entry
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str = "paper-benchmark"
@@ -53,9 +63,6 @@ class ExperimentConfig:
     variants: tuple[DeltaVariant, ...] = (DeltaVariant.STANDARD,)
     c_star: float = 0.5
     solver: SolverConfig = field(default_factory=SolverConfig)
-    quad_order: int = 3
-    rhs_quad_order: int = 5
-    error_quad_order: int = 5
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -84,13 +91,11 @@ class CaseResult:
     delta: DeltaField
     u_h: DiscreteFunction
     stats: SolveStats
-    error_quad_order: int = 5
 
     @functools.cached_property
     def comp(self) -> ErrorComputation:
         """The error norms of u_h, computed on first use."""
-        return ErrorComputation(self.u_h, self.delta, self.problem, use_exact=True,
-                                quad_order=self.error_quad_order)
+        return ErrorComputation(self.u_h, self.delta, self.problem)
 
     def report(self, region: RegionSel):
         return self.comp.report(region)
@@ -112,19 +117,16 @@ def run_single(
     variant: DeltaVariant,
     c_star: float,
     solver_config: SolverConfig | None = None,
-    quad_order: int = 3,
-    rhs_quad_order: int = 5,
-    error_quad_order: int = 5,
 ) -> CaseResult:
     """Assemble and solve one (N, eps, variant) case; its error norms are
     computed on the first report()."""
     problem, mesh = build_case(problem_name, N, eps)
     delta = DeltaField.from_mesh(mesh, variant, c_star)
-    system = assemble_system(mesh, problem, delta, quad_order, rhs_quad_order)
+    system = assemble_system(mesh, problem, delta)
     u, stats = solve(system, solver_config or SolverConfig())
     u_h = DiscreteFunction.from_dof_vector(mesh, u)
     return CaseResult(N=N, eps=eps, variant=variant, c_star=c_star, problem=problem,
-                      delta=delta, u_h=u_h, stats=stats, error_quad_order=error_quad_order)
+                      delta=delta, u_h=u_h, stats=stats)
 
 
 @dataclass
@@ -160,16 +162,6 @@ class TableArtifact:
             "records": [vars(r).copy() for r in self.records],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TableArtifact":
-        return cls(
-            eps=d["eps"],
-            variant=DeltaVariant(d["variant"]),
-            c_star=d["cstar"],
-            metadata=d.get("metadata", {}),
-            records=[ConvergenceRecord(**r) for r in d["records"]],
-        )
-
 
 def _fill_rates(records: list[ConvergenceRecord]) -> None:
     """Rate on row N is computed from rows N and 2N only; the last row (and
@@ -203,11 +195,8 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
             for N in config.N_list:
                 rec = ConvergenceRecord(N=N)
                 try:
-                    case = run_single(
-                        config.problem, N, eps, variant, config.c_star,
-                        config.solver, config.quad_order,
-                        config.rhs_quad_order, config.error_quad_order,
-                    )
+                    case = run_single(config.problem, N, eps, variant, config.c_star,
+                                      config.solver)
                     if case.stats.converged:
                         g = case.report(RegionSel.GLOBAL)
                         s = case.report(RegionSel.OMEGA_S)
@@ -231,11 +220,7 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                 rec.solver_iters = case.stats.iterations
                 rec.residual = case.stats.residual
                 records.append(rec)
-                entry = {"N": N, "iters": case.stats.iterations, "method": case.stats.method,
-                         "setup_time": case.stats.setup_time, "fill": case.stats.fill}
-                if case.stats.fallback:
-                    entry["fallback"] = case.stats.fallback
-                stats_summary.append(entry)
+                stats_summary.append(_solver_entry(N, case.stats))
             _fill_rates(records)
             metadata = {"problem": config.problem, "solver": stats_summary}
             if failures:
@@ -314,7 +299,8 @@ def emit_error_grid(
     solver_config: SolverConfig | None = None,
 ) -> tuple[ErrorGrid, SolveStats]:
     """Solve one case and dump the pointwise error grid as JSON. Layer
-    points carry the exact offsets alongside the lossy absolute coords.
+    points carry the exact offsets alongside the lossy absolute coords; the
+    head's "solver" entry records the solve as run_experiment does.
     Returns the grid and the solve's stats.
 
     Raises Unconverged, and writes nothing, when the solve misses its
@@ -331,6 +317,7 @@ def emit_error_grid(
         "cstar": c_star,
         "samples_per_cell": samples_per_cell,
         "point_fields": ["x", "y", "sigma_x", "sigma_y", "abs_error"],
+        "solver": _solver_entry(N, case.stats),
     }
     text = _with_points_json(head, grid, N, samples_per_cell)
     with open(path, "w") as fh:

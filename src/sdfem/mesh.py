@@ -19,10 +19,6 @@ class InvalidSpec(ValueError):
     """Axis parameters violate the mesh construction assumptions."""
 
 
-class OutOfDomain(ValueError):
-    """Point lies outside the closed unit square."""
-
-
 # per-cell region codes stored in ShishkinMesh2D.cell_codes
 _S_INNER, _S_STRIP, _X, _Y, _XY = range(5)
 
@@ -185,10 +181,6 @@ class ShishkinMesh2D:
     def y_s(self) -> float:
         return self.y_axis.strip_point
 
-    def cell_region(self, i: int, j: int) -> RegionSel:
-        """The one partitioning region that contains cell (i, j)."""
-        return RegionSel((int(self.cell_codes[j, i]),))
-
     def region_mask(self, region: RegionSel) -> np.ndarray:
         """Boolean (N, N) mask over the cells, cell (i, j) at [j, i]."""
         member = np.zeros(len(RegionSel.GLOBAL.value), dtype=bool)
@@ -219,39 +211,6 @@ def build_mesh(x_spec: AxisSpec, y_spec: AxisSpec) -> ShishkinMesh2D:
     codes[~coarse_i & ~coarse_j] = _XY
 
     return ShishkinMesh2D(x_axis=ax, y_axis=ay, cell_codes=codes)
-
-
-def classify_point(
-    mesh: ShishkinMesh2D, x: float, y: float, as_offsets: bool = False
-) -> RegionSel:
-    """Partitioning region containing (x, y); ties on interfaces resolve
-    toward Omega_s and, inside it, toward OMEGA_S_EPS.
-
-    With as_offsets=True the inputs are (1-x, 1-y), which is the exact
-    representation for layer-region points.
-    """
-    if as_offsets:
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise OutOfDomain(f"offsets outside [0,1]: ({x}, {y})")
-        # exact offset comparisons against the exact layer widths
-        in_sx = x >= mesh.x_axis.lam
-        in_sy = y >= mesh.y_axis.lam
-        inner = (x >= mesh.x_axis.lam + mesh.x_axis.H
-                 and y >= mesh.y_axis.lam + mesh.y_axis.H)
-    else:
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise OutOfDomain(f"point outside the unit square: ({x}, {y})")
-        # compare against the stored breakpoints so x = x_t ties exactly
-        in_sx = x <= mesh.x_t
-        in_sy = y <= mesh.y_t
-        inner = x <= mesh.x_s and y <= mesh.y_s
-    if in_sx and in_sy:
-        return RegionSel.OMEGA_S_EPS if inner else RegionSel.OMEGA_S_EPS_COMPLEMENT
-    if in_sy:
-        return RegionSel.OMEGA_X
-    if in_sx:
-        return RegionSel.OMEGA_Y
-    return RegionSel.OMEGA_XY
 
 
 def dump_mesh(mesh: ShishkinMesh2D) -> str:

@@ -1,8 +1,9 @@
 """Continuous problem data: coefficients, source, exact solutions.
 
-Scalar fields are vectorized callables. The exact solution and the source
-take the boundary offsets (sx, sy) = (1-x, 1-y) as first-class arguments so
-layer-cell quadrature never forms 1-x by subtracting near-1 doubles.
+The coefficients b = (b1, b2) and c are constants. The source and the exact
+solution are vectorized callables that take the boundary offsets
+(sx, sy) = (1-x, 1-y) as first-class arguments so layer-cell quadrature
+never forms 1-x by subtracting near-1 doubles.
 """
 from __future__ import annotations
 
@@ -24,41 +25,40 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """-eps*Lap(u) + b.grad(u) + c*u = f on (0,1)^2, u = 0 on the boundary."""
+    """-eps*Lap(u) + b.grad(u) + c*u = f on (0,1)^2, u = 0 on the boundary,
+    with constant b = (b1, b2) and c."""
 
     epsilon: float
-    b1: Callable  # (x, y) -> field
-    b2: Callable
-    c: Callable
+    b1: float
+    b2: float
+    c: float
     f: Callable  # (x, y, sx, sy) -> field
-    beta1: float
-    beta2: float
-    mu0: float
     exact: ExactSolution | None = None
     name: str = "custom"
+
+    def __post_init__(self):
+        if not (self.b1 > 0.0 and self.b2 > 0.0 and self.c > 0.0):
+            raise ValueError(f"need b1, b2, c > 0, got ({self.b1}, {self.b2}, {self.c})")
+
+    @property
+    def beta1(self) -> float:
+        """Lower bound of b1."""
+        return self.b1
+
+    @property
+    def beta2(self) -> float:
+        """Lower bound of b2."""
+        return self.b2
+
+    @property
+    def mu0(self) -> float:
+        """Lower bound of c - div(b)/2; div(b) = 0 for constant b."""
+        return self.c
 
     def require_exact(self) -> ExactSolution:
         if self.exact is None:
             raise NoExactSolution(f"problem {self.name!r} has no exact solution")
         return self.exact
-
-
-def eval_exact(problem: ProblemSpec, x, y, sx=None, sy=None):
-    """Exact solution value; offsets default to 1-x, 1-y (lossy near 1)."""
-    exact = problem.require_exact()
-    if sx is None:
-        sx = 1.0 - np.asarray(x, dtype=float)
-    if sy is None:
-        sy = 1.0 - np.asarray(y, dtype=float)
-    return exact.value(x, y, sx, sy)
-
-
-def eval_source(problem: ProblemSpec, x, y, sx=None, sy=None):
-    if sx is None:
-        sx = 1.0 - np.asarray(x, dtype=float)
-    if sy is None:
-        sy = 1.0 - np.asarray(y, dtype=float)
-    return problem.f(x, y, sx, sy)
 
 
 def make_benchmark(epsilon: float) -> ProblemSpec:
@@ -103,18 +103,12 @@ def make_benchmark(epsilon: float) -> ProblemSpec:
         return (-eps * (gpp * w + g * wpp)
                 + 2.0 * gp * w + g * wp + g * w)
 
-    def const(v):
-        return lambda x, y: v + 0.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(y, dtype=float)
-
     return ProblemSpec(
         epsilon=eps,
-        b1=const(2.0),
-        b2=const(1.0),
-        c=const(1.0),
+        b1=2.0,
+        b2=1.0,
+        c=1.0,
         f=source,
-        beta1=2.0,
-        beta2=1.0,
-        mu0=1.0,
         exact=ExactSolution(value=value, gradient=gradient),
         name="paper-benchmark",
     )
@@ -123,47 +117,3 @@ def make_benchmark(epsilon: float) -> ProblemSpec:
 PROBLEMS: dict[str, Callable[[float], ProblemSpec]] = {
     "paper-benchmark": make_benchmark,
 }
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    min_b1: float
-    min_b2: float
-    min_mu: float
-    beta1_ok: bool
-    beta2_ok: bool
-    mu0_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.beta1_ok and self.beta2_ok and self.mu0_ok
-
-
-def validate_problem(problem: ProblemSpec, sample_density: int = 16) -> ValidationReport:
-    """Check the coefficient assumptions by dense sampling.
-
-    b1 >= beta1, b2 >= beta2 on a full grid; c - 0.5*div(b) >= mu0 on an
-    interior grid (div(b) by central differences, step 1e-6).
-    """
-    if sample_density < 2:
-        raise ValueError("sample_density must be >= 2")
-    t = np.linspace(0.0, 1.0, sample_density)
-    X, Y = np.meshgrid(t, t)
-    min_b1 = float(np.min(problem.b1(X, Y)))
-    min_b2 = float(np.min(problem.b2(X, Y)))
-
-    d = 1e-6
-    ti = np.linspace(d, 1.0 - d, sample_density)
-    Xi, Yi = np.meshgrid(ti, ti)
-    div_b = ((problem.b1(Xi + d, Yi) - problem.b1(Xi - d, Yi)) / (2 * d)
-             + (problem.b2(Xi, Yi + d) - problem.b2(Xi, Yi - d)) / (2 * d))
-    min_mu = float(np.min(problem.c(Xi, Yi) - 0.5 * div_b))
-
-    return ValidationReport(
-        min_b1=min_b1,
-        min_b2=min_b2,
-        min_mu=min_mu,
-        beta1_ok=min_b1 >= problem.beta1 - 1e-12,
-        beta2_ok=min_b2 >= problem.beta2 - 1e-12,
-        mu0_ok=min_mu >= problem.mu0 - 1e-9,
-    )

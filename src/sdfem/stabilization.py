@@ -8,7 +8,6 @@ Omega_s. Both vanish on the layer regions.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,17 +69,12 @@ class DeltaField:
         return np.where(in_omega_s, base * xi * eta, 0.0)
 
 
-def admissible_cstar(problem, mesh: ShishkinMesh2D, sample_density: int = 33) -> float:
+def admissible_cstar(problem, mesh: ShishkinMesh2D) -> float:
     """Largest C* for which the sufficient coercivity condition holds.
 
     With bilinear elements the stabilization residual has no -eps*Lap term,
-    and delta <= mu0 / (2 * max(c)^2) guarantees a_SD(v, v) >= 0.5*||v||_SD^2.
-    Since delta <= C*/N, the cap on C* is N * mu0 / (2 * max(c)^2); it is
-    +inf when c vanishes identically.
+    and delta <= mu0 / (2 * c^2) guarantees a_SD(v, v) >= 0.5*||v||_SD^2.
+    Since delta <= C*/N and mu0 = c for constant coefficients, the cap on C*
+    is N / (2 * c).
     """
-    t = np.linspace(0.0, 1.0, sample_density)
-    X, Y = np.meshgrid(t, t)
-    cmax = float(np.max(np.abs(problem.c(X, Y))))
-    if cmax == 0.0:
-        return math.inf
-    return mesh.N * problem.mu0 / (2.0 * cmax * cmax)
+    return mesh.N / (2 * problem.c)

@@ -6,9 +6,44 @@ the vectorized assembly under test.
 """
 import numpy as np
 
+from sdfem.mesh import RegionSel
 from sdfem.stabilization import DeltaVariant
 
 CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+class OutOfDomain(ValueError):
+    """Point lies outside the closed unit square."""
+
+
+def classify_point(mesh, x, y, as_offsets=False):
+    """Partitioning region containing the point (x, y), decided by comparing
+    coordinates with the mesh's breakpoints; ties on interfaces resolve
+    toward Omega_s and, inside it, toward OMEGA_S_EPS.
+
+    With as_offsets=True the inputs are (1-x, 1-y), which is the exact
+    representation for layer-region points.
+    """
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise OutOfDomain(f"point outside the unit square: ({x}, {y}), offsets={as_offsets}")
+    if as_offsets:
+        # exact offset comparisons against the exact layer widths
+        in_sx = x >= mesh.x_axis.lam
+        in_sy = y >= mesh.y_axis.lam
+        inner = (x >= mesh.x_axis.lam + mesh.x_axis.H
+                 and y >= mesh.y_axis.lam + mesh.y_axis.H)
+    else:
+        # compare against the stored breakpoints so x = x_t ties exactly
+        in_sx = x <= mesh.x_t
+        in_sy = y <= mesh.y_t
+        inner = x <= mesh.x_s and y <= mesh.y_s
+    if in_sx and in_sy:
+        return RegionSel.OMEGA_S_EPS if inner else RegionSel.OMEGA_S_EPS_COMPLEMENT
+    if in_sy:
+        return RegionSel.OMEGA_X
+    if in_sx:
+        return RegionSel.OMEGA_Y
+    return RegionSel.OMEGA_XY
 
 
 def delta_at(mesh, variant, c_star, i, j, x, y):
@@ -70,9 +105,7 @@ def dense_sdfem_matrix(mesh, problem, variant, c_star, quad_order=10):
                     x = x0 + ta * wx
                     y = y0 + tb * wy
                     wq = w1[a] * w1[b] * wx * wy / 4.0
-                    b1v = float(problem.b1(x, y))
-                    b2v = float(problem.b2(x, y))
-                    cv = float(problem.c(x, y))
+                    b1v, b2v, cv = problem.b1, problem.b2, problem.c
                     dv = delta_at(mesh, variant, c_star, i, j, x, y)
                     phi, gx, gy = _bilinear_basis(ta, tb, wx, wy)
                     for k in range(4):
@@ -120,8 +153,7 @@ def dense_sdfem_rhs(mesh, problem, variant, c_star, quad_order=5):
                     sx = sigma_x[i] - ta * wx
                     sy = sigma_y[j] - tb * wy
                     wq = w1[a] * w1[b] * wx * wy / 4.0
-                    b1v = float(problem.b1(x, y))
-                    b2v = float(problem.b2(x, y))
+                    b1v, b2v = problem.b1, problem.b2
                     fv = float(problem.f(x, y, sx, sy))
                     dv = delta_at(mesh, variant, c_star, i, j, x, y)
                     phi, gx, gy = _bilinear_basis(ta, tb, wx, wy)

@@ -8,7 +8,6 @@ from sdfem.analysis import (
     ErrorComputation,
     NonpositiveError,
     RegionSel,
-    error_norm,
     interpolant,
     layer_integral_oracle,
     pointwise_error_grid,
@@ -37,13 +36,10 @@ def bilinear_problem(eps=1e-2):
 
     return ProblemSpec(
         epsilon=eps,
-        b1=lambda x, y: 2.0 + 0.0 * np.asarray(x),
-        b2=lambda x, y: 1.0 + 0.0 * np.asarray(x),
-        c=lambda x, y: 1.0 + 0.0 * np.asarray(x),
+        b1=2.0,
+        b2=1.0,
+        c=1.0,
         f=lambda x, y, sx, sy: 0.0 * np.asarray(x),
-        beta1=2.0,
-        beta2=1.0,
-        mu0=1.0,
         exact=ExactSolution(value=value, gradient=gradient),
         name="bilinear-synthetic",
     )
@@ -114,7 +110,7 @@ class TestErrorNorms:
         m = build_mesh(AxisSpec(N=8, epsilon=1e-2, beta=2.0), AxisSpec(N=8, epsilon=1e-2, beta=1.0))
         d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
         ui = interpolant(p, m)
-        rep = error_norm(p, ui, d)
+        rep = ErrorComputation(ui, d, p).report()
         assert rep.eps_norm <= 1e-13
         assert rep.sd_norm <= 1e-13
         assert rep.max_nodal_error == 0.0
@@ -149,7 +145,7 @@ class TestErrorNorms:
         p, m = bench(N=8)
         d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
         with pytest.raises(ValueError):
-            error_norm(p, case.u_h, d, quad_order=3)
+            ErrorComputation(case.u_h, d, p, quad_order=1)
 
 
 class TestRate:

@@ -9,8 +9,8 @@ from sdfem.cli import main
 from sdfem.harness import (
     CSV_HEADER,
     ConfigError,
+    ConvergenceRecord,
     ExperimentConfig,
-    TableArtifact,
     emit_error_grid,
     emit_table,
     render_table,
@@ -91,10 +91,10 @@ class TestRunExperiment:
 
     def test_json_round_trip(self, artifact):
         payload = json.loads(render_table(artifact, "json"))
-        clone = TableArtifact.from_dict(payload)
-        assert clone.eps == artifact.eps
-        assert clone.variant is artifact.variant
-        assert [vars(a) for a in clone.records] == [vars(b) for b in artifact.records]
+        assert payload == artifact.to_dict()
+        assert payload["eps"] == artifact.eps
+        assert payload["variant"] == artifact.variant.value
+        assert [ConvergenceRecord(**r) for r in payload["records"]] == artifact.records
 
     def test_unknown_format_rejected(self, artifact):
         with pytest.raises(ConfigError):
@@ -206,8 +206,8 @@ class TestCli:
     def test_grid_bytes_match_json_dump(self, tmp_path):
         out = tmp_path / "grid.json"
         for N, eps, s in itertools.product((8, 12), (1e-8, 1e-16), (1, 2, 3)):
-            grid, _ = emit_error_grid("paper-benchmark", N, eps, DeltaVariant.MODIFIED, 0.5, s,
-                                      str(out))
+            grid, stats = emit_error_grid("paper-benchmark", N, eps, DeltaVariant.MODIFIED,
+                                          0.5, s, str(out))
             payload = {
                 "N": N,
                 "eps": eps,
@@ -215,6 +215,8 @@ class TestCli:
                 "cstar": 0.5,
                 "samples_per_cell": s,
                 "point_fields": ["x", "y", "sigma_x", "sigma_y", "abs_error"],
+                "solver": {"N": N, "iters": stats.iterations, "method": stats.method,
+                           "setup_time": stats.setup_time, "fill": stats.fill},
                 "points": np.column_stack(
                     [grid.x, grid.y, grid.sigma_x, grid.sigma_y, grid.abs_error]
                 ).tolist(),
@@ -274,7 +276,11 @@ class TestCli:
         out = tmp_path / "grid.json"
         code = main(["grid", "--N", "8", "--eps", "1e-8", "--out", str(out)])
         assert code == 0
-        assert len(json.loads(out.read_text())["points"]) == (8 * 3) ** 2
+        payload = json.loads(out.read_text())
+        assert len(payload["points"]) == (8 * 3) ** 2
+        assert payload["solver"]["method"] == "gmres(60)+jacobi"
+        assert payload["solver"]["fallback"] == ("ilut failed: Factor is exactly singular; "
+                                                 "used jacobi")
         err = capsys.readouterr().err.splitlines()
         assert err == ["fallback: N=8 eps=1e-08 standard: "
                        "ilut failed: Factor is exactly singular; used jacobi"]

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdfem.mesh import (
-    AxisSpec,
-    InvalidSpec,
-    OutOfDomain,
-    RegionSel,
-    build_axis,
-    build_mesh,
-    classify_point,
-    dump_mesh,
-)
+from oracles import OutOfDomain, classify_point
+from sdfem.mesh import AxisSpec, InvalidSpec, RegionSel, build_axis, build_mesh, dump_mesh
+
+PARTITION = (RegionSel.OMEGA_S_EPS, RegionSel.OMEGA_S_EPS_COMPLEMENT,
+             RegionSel.OMEGA_X, RegionSel.OMEGA_Y, RegionSel.OMEGA_XY)
 
 
 def bench_mesh(N=8, eps=1e-8):
@@ -92,11 +87,7 @@ class TestAxis1D:
 class TestMesh2D:
     def test_region_counts(self):
         mesh = bench_mesh(N=8)
-        codes = {}
-        for j in range(8):
-            for i in range(8):
-                reg = mesh.cell_region(i, j)
-                codes[reg] = codes.get(reg, 0) + 1
+        codes = {reg: int(mesh.region_mask(reg).sum()) for reg in PARTITION}
         assert codes == {
             RegionSel.OMEGA_S_EPS: 9,
             RegionSel.OMEGA_S_EPS_COMPLEMENT: 7,
@@ -123,12 +114,8 @@ class TestMesh2D:
     def test_strip_is_last_coarse_row_and_column(self):
         mesh = bench_mesh(N=8, eps=1e-4)
         assert mesh.x_t - mesh.x_s == pytest.approx(mesh.x_axis.H, rel=1e-12)
-        strip_cells = {
-            (i, j)
-            for j in range(8)
-            for i in range(8)
-            if mesh.cell_region(i, j) is RegionSel.OMEGA_S_EPS_COMPLEMENT
-        }
+        J, I = np.nonzero(mesh.region_mask(RegionSel.OMEGA_S_EPS_COMPLEMENT))
+        strip_cells = set(zip(I.tolist(), J.tolist()))
         expected = {(i, 3) for i in range(4)} | {(3, j) for j in range(4)}
         assert strip_cells == expected
 
@@ -154,6 +141,25 @@ class TestClassifyPoint:
         mesh = bench_mesh()
         assert classify_point(mesh, mesh.x_t, mesh.y_t) is RegionSel.OMEGA_S_EPS_COMPLEMENT
         assert classify_point(mesh, mesh.x_s, mesh.y_s) is RegionSel.OMEGA_S_EPS
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-16])
+    def test_region_mask_agrees_at_cell_midpoints(self, eps):
+        # layer-cell midpoints in offset form, which stays exact at eps=1e-16
+        mesh = bench_mesh(N=16, eps=eps)
+        ax, ay = mesh.x_axis, mesh.y_axis
+        half = mesh.N // 2
+        masks = {reg: mesh.region_mask(reg) for reg in PARTITION}
+        for j in range(mesh.N):
+            for i in range(mesh.N):
+                if i < half and j < half:
+                    x = ax.cell_left[i] + 0.5 * ax.cell_width[i]
+                    y = ay.cell_left[j] + 0.5 * ay.cell_width[j]
+                    got = classify_point(mesh, x, y)
+                else:
+                    sx = ax.cell_sigma_left[i] - 0.5 * ax.cell_width[i]
+                    sy = ay.cell_sigma_left[j] - 0.5 * ay.cell_width[j]
+                    got = classify_point(mesh, sx, sy, as_offsets=True)
+                assert [reg for reg in PARTITION if masks[reg][j, i]] == [got], (i, j)
 
     def test_out_of_domain(self):
         mesh = bench_mesh()

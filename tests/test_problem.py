@@ -4,34 +4,36 @@ import math
 import numpy as np
 import pytest
 
-from sdfem.problem import (
-    NoExactSolution,
-    PROBLEMS,
-    ProblemSpec,
-    eval_exact,
-    eval_source,
-    make_benchmark,
-    validate_problem,
-)
+from sdfem.problem import NoExactSolution, PROBLEMS, ProblemSpec, make_benchmark
+
+
+def u(p, x, y):
+    """Exact solution at (x, y), offsets formed as 1 - x, 1 - y."""
+    return p.require_exact().value(x, y, 1.0 - x, 1.0 - y)
+
+
+def f(p, x, y):
+    """Source at (x, y), offsets formed as 1 - x, 1 - y."""
+    return p.f(x, y, 1.0 - x, 1.0 - y)
 
 
 class TestExactSolution:
     def test_frozen_center_value(self):
         # hand evaluation of 2 sin(0.5)(1-e^{-10}) * 0.25 * (1-e^{-5})
         p = make_benchmark(0.1)
-        assert eval_exact(p, 0.5, 0.5) == pytest.approx(0.23808678775334285, rel=1e-13)
+        assert u(p, 0.5, 0.5) == pytest.approx(0.23808678775334285, rel=1e-13)
 
     def test_boundary_zeros(self):
         p = make_benchmark(1e-3)
         for x, y in ((0.0, 0.3), (1.0, 0.7), (0.4, 0.0), (0.6, 1.0)):
             sx, sy = 1.0 - x, 1.0 - y
-            assert abs(float(eval_exact(p, x, y, sx, sy))) < 1e-15
+            assert abs(float(p.exact.value(x, y, sx, sy))) < 1e-15
 
     def test_tiny_eps_underflow(self):
         # layer exponentials underflow to zero, factors become exactly 1
         p = make_benchmark(1e-16)
         expected = 2.0 * math.sin(0.5) * 0.25
-        assert eval_exact(p, 0.5, 0.5) == pytest.approx(expected, rel=1e-15)
+        assert u(p, 0.5, 0.5) == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.239713, abs=5e-7)
 
     def test_gradient_matches_finite_differences(self):
@@ -42,8 +44,8 @@ class TestExactSolution:
         for _ in range(20):
             x, y = rng.uniform(0.1, 0.9, size=2)
             gx, gy = exact.gradient(x, y, 1.0 - x, 1.0 - y)
-            fdx = (eval_exact(p, x + d, y) - eval_exact(p, x - d, y)) / (2 * d)
-            fdy = (eval_exact(p, x, y + d) - eval_exact(p, x, y - d)) / (2 * d)
+            fdx = (u(p, x + d, y) - u(p, x - d, y)) / (2 * d)
+            fdy = (u(p, x, y + d) - u(p, x, y - d)) / (2 * d)
             assert gx == pytest.approx(fdx, rel=1e-7, abs=1e-7)
             assert gy == pytest.approx(fdy, rel=1e-7, abs=1e-7)
 
@@ -57,22 +59,22 @@ class TestSource:
         d = 1e-5
         for _ in range(100):
             x, y = rng.uniform(0.05, 0.95, size=2)
-            u = float(eval_exact(p, x, y))
-            uxp = float(eval_exact(p, x + d, y))
-            uxm = float(eval_exact(p, x - d, y))
-            uyp = float(eval_exact(p, x, y + d))
-            uym = float(eval_exact(p, x, y - d))
-            lap = (uxp - 2 * u + uxm) / d**2 + (uyp - 2 * u + uym) / d**2
+            u0 = float(u(p, x, y))
+            uxp = float(u(p, x + d, y))
+            uxm = float(u(p, x - d, y))
+            uyp = float(u(p, x, y + d))
+            uym = float(u(p, x, y - d))
+            lap = (uxp - 2 * u0 + uxm) / d**2 + (uyp - 2 * u0 + uym) / d**2
             ux = (uxp - uxm) / (2 * d)
             uy = (uyp - uym) / (2 * d)
-            lhs = -eps * lap + 2 * ux + uy + u
-            assert abs(float(eval_source(p, x, y)) - lhs) <= 1e-4
+            lhs = -eps * lap + 2 * ux + uy + u0
+            assert abs(float(f(p, x, y)) - lhs) <= 1e-4
 
     def test_source_on_inflow_boundary(self):
         # u vanishes at x=0 but the source does not in general
         p = make_benchmark(0.1)
-        assert float(eval_exact(p, 0.0, 0.5)) == 0.0
-        assert abs(float(eval_source(p, 0.0, 0.5))) > 0.1
+        assert float(u(p, 0.0, 0.5)) == 0.0
+        assert abs(float(f(p, 0.0, 0.5))) > 0.1
 
     def test_tiny_eps_smooth_limit(self):
         # away from the layers the exponentials underflow and f collapses to
@@ -85,36 +87,29 @@ class TestSource:
         gpp = -2.0 * math.sin(x)
         w, wp, wpp = y**2, 2 * y, 2.0
         limit = -eps * (gpp * w + g * wpp) + 2 * gp * w + g * wp + g * w
-        assert float(eval_source(p, x, y, 1.0 - x, 1.0 - y)) == pytest.approx(limit, abs=1e-12)
+        assert float(p.f(x, y, 1.0 - x, 1.0 - y)) == pytest.approx(limit, abs=1e-12)
 
     def test_vectorized_evaluation(self):
         p = make_benchmark(1e-8)
         x = np.linspace(0.1, 0.9, 5)
         y = np.linspace(0.1, 0.9, 5)
-        out = eval_source(p, x, y)
+        out = f(p, x, y)
         assert out.shape == (5,)
         assert np.isfinite(out).all()
 
 
 class TestValidation:
     def test_benchmark_passes(self):
+        # b = (2, 1), c = 1: beta and mu0 are the coefficients themselves
         p = make_benchmark(1e-8)
-        rep = validate_problem(p)
-        assert rep.passed
-        assert rep.min_mu == pytest.approx(1.0, abs=1e-6)
+        assert (p.b1, p.b2, p.c) == (2.0, 1.0, 1.0)
+        assert (p.beta1, p.beta2, p.mu0) == (p.b1, p.b2, p.c)
 
     def test_degenerate_convection_fails(self):
         p = make_benchmark(1e-8)
-        bad = dataclasses.replace(p, b1=lambda x, y: x + 0.0 * y)
-        rep = validate_problem(bad)
-        assert not rep.beta1_ok
-        assert not rep.passed
-
-    def test_overclaimed_mu0_fails(self):
-        p = make_benchmark(1e-8)
-        bad = dataclasses.replace(p, mu0=2.0)
-        rep = validate_problem(bad)
-        assert not rep.mu0_ok
+        for bad in (dict(b1=0.0), dict(b2=-1.0), dict(c=0.0), dict(b1=math.nan)):
+            with pytest.raises(ValueError):
+                dataclasses.replace(p, **bad)
 
     def test_missing_exact_solution_raises(self):
         p = make_benchmark(1e-8)
@@ -127,3 +122,4 @@ class TestValidation:
         p = PROBLEMS["paper-benchmark"](1e-8)
         assert isinstance(p, ProblemSpec)
         assert (p.beta1, p.beta2, p.mu0) == (2.0, 1.0, 1.0)
+        assert len(dataclasses.fields(ProblemSpec)) == 7

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -121,15 +120,11 @@ class TestAdmissibleCstar:
         p16, m16 = bench(N=16)
         assert admissible_cstar(p16, m16) == pytest.approx(8.0, rel=1e-12)
 
-    def test_reaction_free_problem_is_uncapped(self):
+    def test_inverse_in_c(self):
+        # cap = N mu0 / (2 c^2) = N / (2c), since mu0 = c for constant b
         p, m = bench(N=8)
-        free = dataclasses.replace(p, c=lambda x, y: 0.0 * x)
-        assert admissible_cstar(free, m) == math.inf
-
-    def test_linear_in_mu0(self):
-        p, m = bench(N=8)
-        doubled = dataclasses.replace(p, mu0=2.0)
-        assert admissible_cstar(doubled, m) == pytest.approx(2 * admissible_cstar(p, m), rel=1e-12)
+        assert admissible_cstar(p, m) == 4.0
+        assert admissible_cstar(dataclasses.replace(p, c=2.0), m) == 2.0
 
     def test_mismatched_mesh_rejected(self):
         _, m8 = bench(N=8)
