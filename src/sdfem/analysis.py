@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import QuadratureRule, cell_points, row_strips
+from .discretization import QuadratureRule, cell_points, point_sum, row_strips
 from .mesh import RegionSel, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
@@ -106,24 +106,23 @@ class ErrorComputation:
         l2 = np.zeros(shape)
         stab = np.zeros(shape)
         rule = QuadratureRule.gauss(quad_order)
-        for rows in row_strips(mesh.N):
+        for rows in row_strips(mesh.N, quad_order**2):
             c = [v[rows] for v in corners]
-            g2, m2, s2 = grad2[rows], l2[rows], stab[rows]
-            for p in cell_points(mesh, rule, rows):
-                uh = p.value(c)
-                uh_x, uh_y = p.gradient(c)
-                if exact is not None:
-                    e = np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - uh
-                    gx_ex, gy_ex = exact.gradient(p.X, p.Y, p.SX, p.SY)
-                    ex = np.asarray(gx_ex) - uh_x
-                    ey = np.asarray(gy_ex) - uh_y
-                else:
-                    e, ex, ey = uh, uh_x, uh_y
-                g2 += p.weight * (ex * ex + ey * ey)
-                m2 += p.weight * e * e
-                conv = problem.b1 * ex + problem.b2 * ey
-                dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
-                s2 += p.weight * dv * conv * conv
+            p = cell_points(mesh, rule, rows)
+            uh = p.value(c)
+            uh_x, uh_y = p.gradient(c)
+            if exact is not None:
+                e = np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - uh
+                gx_ex, gy_ex = exact.gradient(p.X, p.Y, p.SX, p.SY)
+                ex = np.asarray(gx_ex) - uh_x
+                ey = np.asarray(gy_ex) - uh_y
+            else:
+                e, ex, ey = uh, uh_x, uh_y
+            grad2[rows] += point_sum(p.weight * (ex * ex + ey * ey))
+            l2[rows] += point_sum(p.weight * e * e)
+            conv = problem.b1 * ex + problem.b2 * ey
+            dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+            stab[rows] += point_sum(p.weight * dv * conv * conv)
 
         self.cell_eps_grad2 = problem.epsilon * grad2
         self.cell_mu_l2 = mu0 * l2
@@ -260,18 +259,18 @@ def pointwise_error_grid(
     corners = u_h.corner_values()
     # centres of an s x s split of each cell: the composite midpoint rule
     midpoints = QuadratureRule(points=(np.arange(s) + 0.5) / s, weights=np.full(s, 1.0 / s))
-    pts = list(cell_points(u_h.mesh, midpoints))
-    pts = [pts[ia * s + ib] for ib in range(s) for ia in range(s)]  # x fastest
-    shape = pts[0].weight.shape
+    p = cell_points(u_h.mesh, midpoints)
+    shape = p.weight.shape
 
-    def flat(arrays):
-        return np.stack([np.broadcast_to(a, shape) for a in arrays]).ravel()
+    def flat(a):
+        # [ia, ib, j, i] -> [ib, ia, j, i]: sub-points x fastest
+        return np.broadcast_to(a, shape).transpose(1, 0, 2, 3).ravel()
 
     return ErrorGrid(
-        x=flat(p.X for p in pts),
-        y=flat(p.Y for p in pts),
-        sigma_x=flat(p.SX for p in pts),
-        sigma_y=flat(p.SY for p in pts),
+        x=flat(p.X),
+        y=flat(p.Y),
+        sigma_x=flat(p.SX),
+        sigma_y=flat(p.SY),
         abs_error=flat(np.abs(np.asarray(exact.value(p.X, p.Y, p.SX, p.SY))
-                              - p.value(corners)) for p in pts),
+                              - p.value(corners))),
     )

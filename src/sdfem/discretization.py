@@ -2,14 +2,16 @@
 at reference points of a strip of cell rows), Gauss quadrature and assembly
 of the stabilized system.
 
-Assembly is vectorized over the cells of one row strip at a time, so its
-quadrature temporaries stay cache-sized. The element blocks are summed into
-the nine-point stencil of every interior node and written straight into
-CSR. The accumulation order is fixed, so the assembled system is
-bit-reproducible and does not depend on the strip height.
+Assembly is vectorized over all quadrature points and cells of one row
+strip at a time, so each field is evaluated once per strip and its
+temporaries stay small. The element blocks are summed into the nine-point
+stencil of every interior node and written straight into CSR. The
+accumulation order is fixed, so the assembled system is bit-reproducible
+and does not depend on the strip height.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +24,9 @@ from .stabilization import DeltaField
 # local node order: (0,0), (1,0), (1,1), (0,1) in cell-corner coordinates
 LOCAL_NODES = ((0, 0), (1, 0), (1, 1), (0, 1))
 
-# cells per row strip of the quadrature loops: a strip's (rows, N) float64
-# temporaries take 128 KiB each, so the ~16 alive at one quadrature point
-# fit in a 2 MiB L2 cache
-STRIP_CELLS = 16384
+# (cell, point) pairs per row strip of the quadrature loops: a strip's
+# float64 temporaries take 512 KiB each
+STRIP_CELLS = 65536
 
 
 class QuadratureOrderTooLow(ValueError):
@@ -44,11 +45,17 @@ class QuadratureRule:
     weights: np.ndarray
 
     @classmethod
+    @functools.cache
     def gauss(cls, order: int) -> "QuadratureRule":
+        """Gauss-Legendre rule of `order` points, memoized per order; its
+        arrays are read-only."""
         if order < 1:
             raise QuadratureOrderTooLow(f"quadrature order must be >= 1, got {order}")
         p, w = np.polynomial.legendre.leggauss(order)
-        return cls(points=0.5 * (1.0 + p), weights=0.5 * w)
+        points, weights = 0.5 * (1.0 + p), 0.5 * w
+        points.setflags(write=False)
+        weights.setflags(write=False)
+        return cls(points=points, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -63,16 +70,17 @@ class SparseSystem:
 
 @dataclass(frozen=True)
 class CellPoint:
-    """One reference point (a, b) of [0, 1]^2 mapped into every cell of a
-    strip of R cell rows (R = N for the whole mesh).
+    """Every point (a, b) of a tensor rule on [0, 1]^2 mapped into every
+    cell of a strip of R cell rows (R = N for the whole mesh).
 
-    Cell (i, j) of the strip sits at index [j - j0, i] of an (R, N) array,
-    j0 being the strip's first row. The x-axis arrays X, SX and WX have
-    shape (1, N) and the y-axis arrays Y, SY and WY shape (R, 1), so a
-    field of (X, Y) is evaluated on N + R abscissae and broadcast to
-    (R, N); weight is (R, N). The basis function of corner
-    LOCAL_NODES[k] = (di, dj) is nx[di] * ny[dj]; its physical gradient is
-    (dphi_da[k] / WX, dphi_db[k] / WY).
+    Point (ia, ib) of cell (i, j) sits at index [ia, ib, j - j0, i] of a
+    (Qa, Qb, R, N) array, j0 being the strip's first row. The x-axis arrays
+    X and SX have shape (Qa, 1, 1, N), the y-axis arrays Y and SY shape
+    (1, Qb, R, 1), so a field of (X, Y) is evaluated on Qa*N + Qb*R
+    abscissae and broadcast; WX is (1, N), WY (R, 1) and weight
+    (Qa, Qb, R, N). The basis function of corner LOCAL_NODES[k] = (di, dj)
+    is nx[di] * ny[dj], nx holding (Qa, 1, 1, 1) and ny (1, Qb, 1, 1)
+    arrays; its physical gradient is (dphi_da[k] / WX, dphi_db[k] / WY).
     """
 
     X: np.ndarray
@@ -117,17 +125,26 @@ class CellPoint:
         return gx, gy
 
 
-def row_strips(N: int):
-    """Slices of consecutive cell rows, STRIP_CELLS // N rows each (at
-    least one), covering rows 0..N-1; a single strip for N <= 128."""
-    height = max(1, STRIP_CELLS // N)
+def point_sum(values: np.ndarray) -> np.ndarray:
+    """Sum a (Qa, Qb, R, N) array over its points, one after the other in
+    CellPoint order (ia outermost), as a per-point loop would. numpy adds
+    along the leading axis in order whenever R * N > 1, which every mesh
+    strip (N >= 4) has."""
+    return np.add.reduce(values.reshape(-1, *values.shape[2:]), axis=0)
+
+
+def row_strips(N: int, points: int):
+    """Slices of consecutive cell rows covering rows 0..N-1, each of
+    STRIP_CELLS // (points * N) rows (at least one), so that a strip holds
+    about STRIP_CELLS (cell, point) pairs of a rule with `points` points."""
+    height = max(1, STRIP_CELLS // (points * N))
     return [slice(j, min(j + height, N)) for j in range(0, N, height)]
 
 
-def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule, rows: slice = slice(None)):
+def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
+                rows: slice = slice(None)) -> CellPoint:
     """Map the tensor points of `rule` into every cell of the cell rows
-    `rows`, one CellPoint per point pair, the x reference coordinate
-    outermost.
+    `rows`, all points of the strip in one CellPoint.
 
     Only the y-axis arrays are sliced, so every cell gets the same
     elementwise operations whatever strip it falls in. Offsets come from
@@ -137,25 +154,19 @@ def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule, rows: slice = slice(
     ax, ay = mesh.x_axis, mesh.y_axis
     WX = ax.cell_width[None, :]
     WY = ay.cell_width[rows, None]
-    LX, SLX = ax.cell_left[None, :], ax.cell_sigma_left[None, :]
-    LY, SLY = ay.cell_left[rows, None], ay.cell_sigma_left[rows, None]
-    area = WX * WY
-    # coordinates depend on one reference coordinate only
-    ys = [(LY + b * WY, SLY - b * WY) for b in rule.points]
-    for a, wa in zip(rule.points, rule.weights):
-        X, SX = LX + a * WX, SLX - a * WX
-        for b, wb, (Y, SY) in zip(rule.points, rule.weights, ys):
-            yield CellPoint(
-                X=X,
-                Y=Y,
-                SX=SX,
-                SY=SY,
-                WX=WX,
-                WY=WY,
-                weight=wa * wb * area,
-                nx=(1.0 - a, a),
-                ny=(1.0 - b, b),
-            )
+    a = rule.points[:, None, None, None]
+    b = rule.points[None, :, None, None]
+    return CellPoint(
+        X=ax.cell_left + a * WX,
+        Y=ay.cell_left[rows, None] + b * WY,
+        SX=ax.cell_sigma_left - a * WX,
+        SY=ay.cell_sigma_left[rows, None] - b * WY,
+        WX=WX,
+        WY=WY,
+        weight=np.multiply.outer(rule.weights, rule.weights)[:, :, None, None] * (WX * WY),
+        nx=(1.0 - a, a),
+        ny=(1.0 - b, b),
+    )
 
 
 def _stencil_pattern(N: int):
@@ -201,26 +212,25 @@ def assemble_system(
     N = mesh.N
     eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
     in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
-    strips = row_strips(N)
 
     # matrix
     Aloc = np.zeros((4, 4, N, N))
     rule = QuadratureRule.gauss(quad_order)
-    for rows in strips:
+    for rows in row_strips(N, quad_order**2):
         A_rows = Aloc[:, :, rows]
-        for p in cell_points(mesh, rule, rows):
-            phi = p.phi
-            gx, gy = p.basis_gradients()
-            dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
-            conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
-            resid = [conv[l] + c * phi[l] for l in range(4)]
-            for k in range(4):
-                for l in range(4):
-                    A_rows[k, l] += p.weight * (
-                        eps * (gx[l] * gx[k] + gy[l] * gy[k])
-                        + resid[l] * phi[k]
-                        + resid[l] * dv * conv[k]
-                    )
+        p = cell_points(mesh, rule, rows)
+        phi = p.phi
+        gx, gy = p.basis_gradients()
+        dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+        conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
+        resid = [conv[l] + c * phi[l] for l in range(4)]
+        for k in range(4):
+            for l in range(4):
+                A_rows[k, l] += point_sum(p.weight * (
+                    eps * (gx[l] * gx[k] + gy[l] * gy[k])
+                    + resid[l] * phi[k]
+                    + resid[l] * dv * conv[k]
+                ))
 
     # Node (i, j) is corner k = (di, dj) of cell (i - di, j - dj), so the
     # interior nodes' corner-k entries are the [1-dj:N-dj, 1-di:N-di] slice
@@ -249,16 +259,17 @@ def assemble_system(
 
     # right-hand side
     Floc = np.zeros((4, N, N))
-    rule = QuadratureRule.gauss(max(rhs_quad_order, quad_order))
-    for rows in strips:
+    order = max(rhs_quad_order, quad_order)
+    rule = QuadratureRule.gauss(order)
+    for rows in row_strips(N, order**2):
         F_rows = Floc[:, rows]
-        for p in cell_points(mesh, rule, rows):
-            phi = p.phi
-            gx, gy = p.basis_gradients()
-            dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
-            fv = problem.f(p.X, p.Y, p.SX, p.SY)
-            for k in range(4):
-                F_rows[k] += p.weight * fv * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k]))
+        p = cell_points(mesh, rule, rows)
+        phi = p.phi
+        gx, gy = p.basis_gradients()
+        dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+        fv = problem.f(p.X, p.Y, p.SX, p.SY)
+        for k in range(4):
+            F_rows[k] += point_sum(p.weight * fv * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k])))
 
     F = np.zeros((n, n))
     for k in range(4):

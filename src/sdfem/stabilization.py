@@ -51,9 +51,9 @@ class DeltaField:
 
     def evaluate_cells(self, in_omega_s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Vectorized delta for quadrature points grouped by cell; x and y
-        broadcast against in_omega_s, as the (1, N) and (R, 1) coordinates
-        of cell_points on a strip of R cell rows do against that strip's
-        (R, N) rows of the cell mask.
+        broadcast against in_omega_s, as the (Qa, 1, 1, N) and
+        (1, Qb, R, 1) coordinates of cell_points on a strip of R cell rows
+        do against that strip's (R, N) rows of the cell mask.
 
         Cell membership comes from the mesh indices instead of comparing
         absolute coordinates against x_t/y_t. For very small eps the layer

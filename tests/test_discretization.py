@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +8,13 @@ import pytest
 
 from oracles import dense_sdfem_matrix, dense_sdfem_rhs
 from sdfem import discretization
-from sdfem.analysis import DiscreteFunction, ErrorComputation, interpolant
+from sdfem.analysis import (
+    DiscreteFunction,
+    ErrorComputation,
+    interpolant,
+    pointwise_error_grid,
+    sd_norm_discrete,
+)
 from sdfem.discretization import (
     LOCAL_NODES,
     MeshProblemMismatch,
@@ -16,7 +24,7 @@ from sdfem.discretization import (
     cell_points,
 )
 from sdfem.mesh import AxisSpec, RegionSel, build_mesh
-from sdfem.problem import make_benchmark
+from sdfem.problem import ExactSolution, make_benchmark
 from sdfem.stabilization import DeltaField, DeltaVariant
 
 
@@ -34,10 +42,15 @@ def one_cell_mesh(h):
 
 
 def reference_point(a, b):
-    """CellPoint of the reference point (a, b) on the unit cell: the second
-    of the pairs (a, a), (a, b), (b, a), (b, b), x outermost."""
+    """Basis values and reference derivatives at the reference point (a, b)
+    on the unit cell: point [0, 1] of the rule with points (a, b), x
+    outermost."""
     rule = QuadratureRule(points=np.array([a, b]), weights=np.ones(2))
-    return list(cell_points(one_cell_mesh(1.0), rule))[1]
+    p = cell_points(one_cell_mesh(1.0), rule)
+    return SimpleNamespace(**{
+        name: tuple(float(np.broadcast_to(v, (2, 2, 1, 1))[0, 1, 0, 0])
+                    for v in getattr(p, name))
+        for name in ("phi", "dphi_da", "dphi_db")})
 
 
 class TestShapeFunctions:
@@ -64,6 +77,13 @@ class TestShapeFunctions:
         assert np.all((rule.points > 0) & (rule.points < 1))
         assert float(np.sum(rule.weights)) == pytest.approx(1.0, rel=1e-14)
 
+    def test_gauss_rule_cached_read_only(self):
+        rule = QuadratureRule.gauss(4)
+        assert QuadratureRule.gauss(4) is rule
+        for arr in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
 
 def galerkin_and_sd(m, p, variant):
     """Assembled (Galerkin, stabilized) matrix pair; their difference is the
@@ -83,20 +103,27 @@ def rows_touching(m, mask):
 
 class TestCellPoints:
     def test_broadcast_layout(self):
-        # x-axis arrays are (1, N), y-axis arrays (N, 1); at eps = 1e-16 the
-        # layer-cell offsets come from the exact cell offsets and stay > 0
+        # x-axis arrays are (Qa, 1, 1, N), y-axis arrays (1, Qb, R, 1); at
+        # eps = 1e-16 the layer-cell offsets come from the exact cell
+        # offsets and stay > 0
         _, m = bench(N=8, eps=1e-16)
         N, half = m.N, m.N // 2
         ax, ay = m.x_axis, m.y_axis
-        for p in cell_points(m, QuadratureRule.gauss(3)):
-            assert p.X.shape == p.SX.shape == p.WX.shape == (1, N)
-            assert p.Y.shape == p.SY.shape == p.WY.shape == (N, 1)
-            assert p.weight.shape == (N, N)
-            a, b = p.nx[1], p.ny[1]
-            sx = ax.cell_sigma_left[half:] - a * ax.cell_width[half:]
-            sy = ay.cell_sigma_left[half:] - b * ay.cell_width[half:]
-            assert np.array_equal(p.SX[0, half:], sx) and np.all(sx > 0.0)
-            assert np.array_equal(p.SY[half:, 0], sy) and np.all(sy > 0.0)
+        rule = QuadratureRule.gauss(3)
+        p = cell_points(m, rule, slice(2, 7))
+        assert p.X.shape == p.SX.shape == (3, 1, 1, N)
+        assert p.Y.shape == p.SY.shape == (1, 3, 5, 1)
+        assert p.WX.shape == (1, N) and p.WY.shape == (5, 1)
+        assert p.weight.shape == (3, 3, 5, N)
+        assert [v.shape for v in p.nx] == [(3, 1, 1, 1)] * 2
+        assert [v.shape for v in p.ny] == [(1, 3, 1, 1)] * 2
+        p = cell_points(m, rule)
+        for ia, a in enumerate(rule.points):
+            for ib, b in enumerate(rule.points):
+                sx = ax.cell_sigma_left[half:] - a * ax.cell_width[half:]
+                sy = ay.cell_sigma_left[half:] - b * ay.cell_width[half:]
+                assert np.array_equal(p.SX[ia, 0, 0, half:], sx) and np.all(sx > 0.0)
+                assert np.array_equal(p.SY[0, ib, half:, 0], sy) and np.all(sy > 0.0)
 
 
 class TestRowStrips:
@@ -104,8 +131,9 @@ class TestRowStrips:
     @pytest.mark.parametrize("eps", [1e-8, 1e-16])
     @pytest.mark.parametrize("variant", list(DeltaVariant))
     def test_strip_height_invariance(self, monkeypatch, N, eps, variant):
-        # one row per strip, 5 rows per strip (which leaves a remainder),
-        # and the whole mesh give the same bytes
+        # one row per strip for every rule, one row for 25 points, 5 rows
+        # for 25 points (which leaves a remainder) and the whole mesh give
+        # the same bytes
         p, m = bench(N=N, eps=eps)
         d = DeltaField.from_mesh(m, variant, 0.5)
         rng = np.random.default_rng(N)
@@ -119,21 +147,65 @@ class TestRowStrips:
             for use_exact in (True, False):
                 c = ErrorComputation(u_h, d, p, use_exact=use_exact)
                 out += [c.cell_eps_grad2, c.cell_mu_l2, c.cell_stab2]
+            out.append(np.float64(sd_norm_discrete(u_h, p, d)))
+            for samples in (1, 3):
+                g = pointwise_error_grid(p, u_h, samples)
+                out += [g.x, g.y, g.sigma_x, g.sigma_y, g.abs_error]
             return [(a.dtype, a.shape, a.tobytes()) for a in out]
 
         results = []
-        for cells in (N, 5 * N, N * N):
+        for cells in (N, 25 * N, 125 * N, 25 * N * N):
             monkeypatch.setattr(discretization, "STRIP_CELLS", cells)
             results.append(outputs())
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2] == results[3]
 
     def test_strip_heights(self, monkeypatch):
+        def spans(N, points):
+            return [(r.start, r.stop) for r in discretization.row_strips(N, points)]
+
         monkeypatch.setattr(discretization, "STRIP_CELLS", 60)
-        assert [(r.start, r.stop) for r in discretization.row_strips(12)] == [(0, 5), (5, 10),
-                                                                             (10, 12)]
+        assert spans(12, 1) == [(0, 5), (5, 10), (10, 12)]
+        assert spans(12, 9) == [(j, j + 1) for j in range(12)]
         monkeypatch.undo()
-        assert discretization.row_strips(128) == [slice(0, 128)]
-        assert len(discretization.row_strips(512)) == 16
+        # 65536 (cell, point) pairs: 227, 56, 20 and 5 rows
+        assert spans(32, 9) == [(0, 32)]
+        assert spans(128, 9) == [(0, 56), (56, 112), (112, 128)]
+        assert spans(128, 25) == [(j, min(j + 20, 128)) for j in range(0, 128, 20)]
+        assert spans(512, 25) == [(j, min(j + 5, 512)) for j in range(0, 512, 5)]
+
+
+class TestPointBatching:
+    @pytest.mark.parametrize("N", [8, 512])
+    def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
+        # every field is evaluated once per row strip, never once per point
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        p, m = bench(N=N, eps=1e-8)
+        exact = ExactSolution(value=counted("value", p.exact.value),
+                              gradient=counted("gradient", p.exact.gradient))
+        p = dataclasses.replace(p, f=counted("f", p.f), exact=exact)
+        monkeypatch.setattr(DeltaField, "evaluate_cells",
+                            counted("delta", DeltaField.evaluate_cells))
+        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        u_h = interpolant(p, m)  # one nodal call of exact.value
+        matrix_strips = len(discretization.row_strips(N, 9))
+        strips = len(discretization.row_strips(N, 25))
+        assert (matrix_strips, strips) == ((1, 1) if N == 8 else (37, 103))
+
+        calls.clear()
+        assemble_system(m, p, d)
+        assert calls == {"f": strips, "delta": matrix_strips + strips}
+
+        calls.clear()
+        ErrorComputation(u_h, d, p)
+        # exact.value once more for the nodal errors of the max-norm column
+        assert calls == {"value": strips + 1, "gradient": strips, "delta": strips}
 
 
 class TestElementalMatrices:
@@ -142,10 +214,11 @@ class TestElementalMatrices:
         # h-independent: diagonal 2/3, edge neighbors -1/6, opposite -1/3
         for h in (1.0, 0.25, 1e-3):
             K = np.zeros((4, 4))
-            for p in cell_points(one_cell_mesh(h), QuadratureRule.gauss(2)):
-                gx, gy = p.basis_gradients()
-                gx, gy = np.concatenate(gx), np.concatenate(gy)
-                K += p.weight * (np.outer(gx, gx) + np.outer(gy, gy))
+            p = cell_points(one_cell_mesh(h), QuadratureRule.gauss(2))
+            gx, gy = p.basis_gradients()
+            for k in range(4):
+                for l in range(4):
+                    K[k, l] = np.sum(p.weight * (gx[k] * gx[l] + gy[k] * gy[l]))
             expect = np.array(
                 [
                     [2 / 3, -1 / 6, -1 / 3, -1 / 6],

@@ -69,10 +69,13 @@ class TestDelta:
             assert np.array_equal(in_omega_s, (I < m.N // 2) & (J < m.N // 2))
             for variant in DeltaVariant:
                 d = DeltaField.from_mesh(m, variant, 0.5)
-                for p in cell_points(m, QuadratureRule.gauss(3)):
-                    dv = d.evaluate_cells(in_omega_s, p.X, p.Y)
-                    assert not dv[~in_omega_s].any()
-                    assert dv[in_omega_s].all()
+                p = cell_points(m, QuadratureRule.gauss(3))
+                dvs = np.broadcast_to(d.evaluate_cells(in_omega_s, p.X, p.Y), p.weight.shape)
+                for ia in range(3):
+                    for ib in range(3):
+                        dv = dvs[ia, ib]
+                        assert not dv[~in_omega_s].any()
+                        assert dv[in_omega_s].all()
 
     def test_invalid_cstar(self):
         _, m = bench()
@@ -105,12 +108,17 @@ class TestVectorizedEvaluation:
         N = m.N
         for variant in DeltaVariant:
             d = DeltaField.from_mesh(m, variant, 0.7)
-            for p in cell_points(m, QuadratureRule.gauss(3)):
-                vec = d.evaluate_cells(m.region_mask(RegionSel.OMEGA_S), p.X, p.Y)
-                for j in range(N):
-                    for i in range(N):
-                        want = delta_at(m, variant, 0.7, i, j, float(p.X[0, i]), float(p.Y[j, 0]))
-                        assert vec[j, i] == pytest.approx(want, rel=1e-12, abs=0.0)
+            p = cell_points(m, QuadratureRule.gauss(3))
+            vecs = np.broadcast_to(d.evaluate_cells(m.region_mask(RegionSel.OMEGA_S), p.X, p.Y),
+                                   p.weight.shape)
+            for ia in range(3):
+                for ib in range(3):
+                    vec = vecs[ia, ib]
+                    for j in range(N):
+                        for i in range(N):
+                            want = delta_at(m, variant, 0.7, i, j, float(p.X[ia, 0, 0, i]),
+                                            float(p.Y[0, ib, j, 0]))
+                            assert vec[j, i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestAdmissibleCstar:
