@@ -175,6 +175,16 @@ class TestRowStrips:
 
 
 class TestPointBatching:
+    def test_point_sum_adds_in_point_order(self):
+        # the per-point loop it replaces: zero, then point (ia, ib) in order
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((5, 5, 3, 8)) * 10.0 ** rng.uniform(-8, 8, (5, 5, 3, 8))
+        expect = np.zeros((3, 8))
+        for ia in range(5):
+            for ib in range(5):
+                expect += values[ia, ib]
+        assert np.array_equal(0.0 + discretization.point_sum(values), expect)
+
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
         # every field is evaluated once per row strip, never once per point
