@@ -69,8 +69,7 @@ class ErrorReport:
     region: RegionSel
     eps_norm: float
     sd_norm: float
-    components: tuple[float, float, float]  # (eps*|.|_1^2, mu0*||.||^2, stab^2)
-    max_nodal_error: float
+    components: tuple[float, float, float]  # (eps*|.|_1^2, c*||.||^2, stab^2)
 
 
 class ErrorComputation:
@@ -94,12 +93,10 @@ class ErrorComputation:
             raise ValueError("quad_order must be >= 2")
         mesh = u_h.mesh
         self.mesh = mesh
-        self.problem = problem
         exact = problem.require_exact() if use_exact else None
 
         in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
         corners = u_h.corner_values()
-        mu0 = problem.mu0
 
         shape = (mesh.N, mesh.N)
         grad2 = np.zeros(shape)
@@ -125,14 +122,8 @@ class ErrorComputation:
             stab[rows] += point_sum(p.weight * dv * conv * conv)
 
         self.cell_eps_grad2 = problem.epsilon * grad2
-        self.cell_mu_l2 = mu0 * l2
+        self.cell_mu_l2 = problem.c * l2
         self.cell_stab2 = stab
-
-        # nodal errors for the max-norm column of the report
-        if exact is not None:
-            self.nodal_abs_err = np.abs(_nodal_exact(exact, mesh) - u_h.values)
-        else:
-            self.nodal_abs_err = np.abs(u_h.values)
 
     def report(self, region: RegionSel = RegionSel.GLOBAL) -> ErrorReport:
         mask = self.mesh.region_mask(region)
@@ -141,22 +132,11 @@ class ErrorComputation:
         st = float(np.sum(self.cell_stab2[mask]))
         eps_norm = math.sqrt(eg + ml)
         sd_norm = math.sqrt(eg + ml + st)
-
-        # nodes touching a cell of the region; nodes are [i, j], cells [j, i]
-        cells = mask.T
-        node_mask = np.zeros(self.nodal_abs_err.shape, dtype=bool)
-        node_mask[:-1, :-1] |= cells
-        node_mask[1:, :-1] |= cells
-        node_mask[1:, 1:] |= cells
-        node_mask[:-1, 1:] |= cells
-        max_nodal = float(np.max(self.nodal_abs_err[node_mask])) if mask.any() else 0.0
-
         return ErrorReport(
             region=region,
             eps_norm=eps_norm,
             sd_norm=sd_norm,
             components=(eg, ml, st),
-            max_nodal_error=max_nodal,
         )
 
 

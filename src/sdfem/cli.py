@@ -12,6 +12,7 @@ did not converge, broke down or ran out of memory, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -55,8 +56,7 @@ def _add_solver_flags(p):
     p.add_argument("--solver", choices=[m.value for m in SolveMethod], default="gmres")
     p.add_argument("--restart", type=int, default=60)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--precond", choices=[*(m.value for m in Preconditioner), "ilu0"],
-                   default="ilut")
+    p.add_argument("--precond", choices=[m.value for m in Preconditioner], default="ilut")
 
 
 def cmd_run(args) -> int:
@@ -73,10 +73,8 @@ def cmd_run(args) -> int:
     for art in artifacts:
         path = args.out
         if multi:
-            stem, dot, ext = args.out.rpartition(".")
-            base = stem if dot else args.out
-            suffix = f"_eps{art.eps:.0e}_{art.variant.value}"
-            path = f"{base}{suffix}.{ext}" if dot else f"{base}{suffix}"
+            base, ext = os.path.splitext(args.out)
+            path = f"{base}_eps{art.eps:.0e}_{art.variant.value}{ext}"
         emit_table(art, args.format, path)
         print(f"wrote {path}")
         case = f"eps={art.eps:.0e} {art.variant.value}"

@@ -24,6 +24,10 @@ from .stabilization import DeltaField
 # local node order: (0,0), (1,0), (1,1), (0,1) in cell-corner coordinates
 LOCAL_NODES = ((0, 0), (1, 0), (1, 1), (0, 1))
 
+# Gauss orders of the matrix and the right-hand side; the source carries
+# layer exponentials, so the right-hand side takes the higher one
+MATRIX_ORDER, RHS_ORDER = 3, 5
+
 # (cell, point) pairs per row strip of the quadrature loops: a strip's
 # float64 temporaries take 512 KiB each
 STRIP_CELLS = 65536
@@ -62,10 +66,6 @@ class QuadratureRule:
 class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -194,18 +194,14 @@ def assemble_system(
     mesh: ShishkinMesh2D,
     problem: ProblemSpec,
     delta_field: DeltaField,
-    quad_order: int = 3,
-    rhs_quad_order: int = 5,
 ) -> SparseSystem:
-    """Assemble matrix and right-hand side of the stabilized bilinear form.
+    """Assemble matrix and right-hand side of the stabilized bilinear form
+    with Gauss rules of MATRIX_ORDER and RHS_ORDER points per axis.
 
     Entry (k, l) is a_SD(phi_l, phi_k) with the -eps*Lap term dropped from
-    the stabilization residual (it vanishes for Q1 on rectangles). The
-    right-hand side uses a higher default order because the source carries
-    layer exponentials. Dirichlet rows/columns are eliminated.
+    the stabilization residual (it vanishes for Q1 on rectangles).
+    Dirichlet rows/columns are eliminated.
     """
-    if quad_order < 2:
-        raise QuadratureOrderTooLow(f"quad_order must be >= 2, got {quad_order}")
     if not delta_field.matches(mesh):
         raise MeshProblemMismatch("delta field was built on a different mesh")
 
@@ -215,8 +211,8 @@ def assemble_system(
 
     # matrix
     Aloc = np.zeros((4, 4, N, N))
-    rule = QuadratureRule.gauss(quad_order)
-    for rows in row_strips(N, quad_order**2):
+    rule = QuadratureRule.gauss(MATRIX_ORDER)
+    for rows in row_strips(N, MATRIX_ORDER**2):
         A_rows = Aloc[:, :, rows]
         p = cell_points(mesh, rule, rows)
         phi = p.phi
@@ -259,9 +255,8 @@ def assemble_system(
 
     # right-hand side
     Floc = np.zeros((4, N, N))
-    order = max(rhs_quad_order, quad_order)
-    rule = QuadratureRule.gauss(order)
-    for rows in row_strips(N, order**2):
+    rule = QuadratureRule.gauss(RHS_ORDER)
+    for rows in row_strips(N, RHS_ORDER**2):
         F_rows = Floc[:, rows]
         p = cell_points(mesh, rule, rows)
         phi = p.phi

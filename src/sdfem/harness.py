@@ -104,8 +104,8 @@ class CaseResult:
 def build_case(problem_name: str, N: int, eps: float) -> tuple[ProblemSpec, ShishkinMesh2D]:
     problem = PROBLEMS[problem_name](eps)
     mesh = build_mesh(
-        AxisSpec(N=N, epsilon=eps, beta=problem.beta1),
-        AxisSpec(N=N, epsilon=eps, beta=problem.beta2),
+        AxisSpec(N=N, epsilon=eps, beta=problem.b1),
+        AxisSpec(N=N, epsilon=eps, beta=problem.b2),
     )
     return problem, mesh
 
@@ -364,7 +364,7 @@ def layer_integral_errors(N: int, eps: float) -> tuple[float, float]:
     composite quadrature on the x and the y axis of the benchmark mesh."""
     problem, mesh = build_case("paper-benchmark", N, eps)
     worst = []
-    for beta, axis in ((problem.beta1, mesh.x_axis), (problem.beta2, mesh.y_axis)):
+    for beta, axis in ((problem.b1, mesh.x_axis), (problem.b2, mesh.y_axis)):
         o = layer_integral_oracle(eps, beta, axis.strip_point, axis.transition_point, axis.H)
         gaps = [0.0]
         for a, b in ((o.tail_closed, o.tail_quad), (o.strip_closed, o.strip_quad)):

@@ -170,16 +170,8 @@ class ShishkinMesh2D:
         return self.x_axis.transition_point
 
     @property
-    def x_s(self) -> float:
-        return self.x_axis.strip_point
-
-    @property
     def y_t(self) -> float:
         return self.y_axis.transition_point
-
-    @property
-    def y_s(self) -> float:
-        return self.y_axis.strip_point
 
     def region_mask(self, region: RegionSel) -> np.ndarray:
         """Boolean (N, N) mask over the cells, cell (i, j) at [j, i]."""

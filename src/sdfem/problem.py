@@ -40,21 +40,6 @@ class ProblemSpec:
         if not (self.b1 > 0.0 and self.b2 > 0.0 and self.c > 0.0):
             raise ValueError(f"need b1, b2, c > 0, got ({self.b1}, {self.b2}, {self.c})")
 
-    @property
-    def beta1(self) -> float:
-        """Lower bound of b1."""
-        return self.b1
-
-    @property
-    def beta2(self) -> float:
-        """Lower bound of b2."""
-        return self.b2
-
-    @property
-    def mu0(self) -> float:
-        """Lower bound of c - div(b)/2; div(b) = 0 for constant b."""
-        return self.c
-
     def require_exact(self) -> ExactSolution:
         if self.exact is None:
             raise NoExactSolution(f"problem {self.name!r} has no exact solution")

@@ -6,10 +6,12 @@ Direct LU orders the dofs by nested dissection of their grid (George, SIAM
 J. Numer. Anal. 10, 1973) and factors the symmetrically permuted matrix in
 that order. ILUT orders by minimum degree on the pattern of Aᵀ+A, the Q1
 stencil on a tensor mesh giving A a symmetric pattern. Nested dissection
-would also serve ILUT (at N=512: fill 4.09 -> 3.92, setup 10-20% shorter,
-the same 8 GMRES iterations), but it changes the GMRES iterates, so ILUT
-keeps minimum degree for now. Both factorizations use a SuperLU panel of 4
-columns.
+would also serve ILUT (at N=512: fill 4.09 -> 3.92, the same 8 GMRES
+iterations), but it changes the GMRES iterates, so ILUT keeps minimum
+degree for now. Whether it shortens the ILUT setup is unresolved: single
+runs at N=512 read 1.38 and 1.28 s with it against 1.08 and 1.44 s
+without, and settling it takes at least 10 alternating pairs. Both
+factorizations use a SuperLU panel of 4 columns.
 
 The reported residual is always recomputed from a fresh matrix-vector
 product, never taken from the Krylov estimate.
@@ -50,11 +52,6 @@ class Preconditioner(enum.Enum):
     NONE = "none"
     JACOBI = "jacobi"
     ILUT = "ilut"
-
-    @classmethod
-    def _missing_(cls, value):
-        # "ilu0", the former name of ILUT, still selects it
-        return cls.ILUT if value == "ilu0" else None
 
 
 @dataclass(frozen=True)

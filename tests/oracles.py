@@ -36,7 +36,7 @@ def classify_point(mesh, x, y, as_offsets=False):
         # compare against the stored breakpoints so x = x_t ties exactly
         in_sx = x <= mesh.x_t
         in_sy = y <= mesh.y_t
-        inner = x <= mesh.x_s and y <= mesh.y_s
+        inner = x <= mesh.x_axis.strip_point and y <= mesh.y_axis.strip_point
     if in_sx and in_sy:
         return RegionSel.OMEGA_S_EPS if inner else RegionSel.OMEGA_S_EPS_COMPLEMENT
     if in_sy:
@@ -56,8 +56,8 @@ def delta_at(mesh, variant, c_star, i, j, x, y):
     base = c_star / N
     if variant is DeltaVariant.STANDARD:
         return base
-    xi = 1.0 if x <= mesh.x_s else (mesh.x_t - x) / mesh.x_axis.H
-    eta = 1.0 if y <= mesh.y_s else (mesh.y_t - y) / mesh.y_axis.H
+    xi = 1.0 if x <= mesh.x_axis.strip_point else (mesh.x_t - x) / mesh.x_axis.H
+    eta = 1.0 if y <= mesh.y_axis.strip_point else (mesh.y_t - y) / mesh.y_axis.H
     return base * xi * eta
 
 

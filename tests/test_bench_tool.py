@@ -1,4 +1,4 @@
-"""tools/bench.py on canned perfbench/run.py output."""
+"""tools/bench.py on canned perfbench/run.py, tier-1 and N=1024 output."""
 import importlib.util
 import json
 import subprocess
@@ -16,12 +16,22 @@ ENV = {"host": "h", "cpu": "c", "nproc": 2, "affinity": 2, "python": "3", "numpy
        "loadavg_start": ["0.1", "0.2", "0.3"]}
 
 
-def fake_run(walls, correct=True):
-    """subprocess.run stand-in printing what perfbench/run.py prints; the
-    wall time of each call comes from `walls` in turn."""
+def fake_run(walls, correct=True, tier1_code=1, case_code=0):
+    """subprocess.run stand-in printing what perfbench/run.py prints, or
+    what bench.MEASURE prints around the tier-1 suite or the N=1024 case;
+    the wall time of each call comes from `walls` in turn."""
     walls = iter(walls)
 
-    def run(argv, cwd, capture_output, text):
+    def run(argv, cwd, capture_output, text, env=None):
+        if argv[1] == "-c":
+            assert argv[2] == bench.MEASURE and env["PYTHONPATH"] == str(cwd / "src")
+            if argv[4:6] == ["-m", "pytest"]:
+                out, code = "...F.\n3 failed, 173 passed in 17.10s\n", tier1_code
+            else:
+                assert argv[4:-2] == bench.CASE_1024 and argv[-2] == "--out"
+                out, code = "wrote table.csv\n", case_code
+            m = {"returncode": code, "wall_s": next(walls), "peak_rss_kib": 870400}
+            return subprocess.CompletedProcess(argv, 0, out + json.dumps(m) + "\n", "")
         assert argv[1:3] == ["perfbench/run.py", "--workload"] and argv[-2:] == ["--trace", "0"]
         metrics = {"wall_s": (next(walls), "s"), "setup_s": (0.5, "s"),
                    "peak_rss_mib": (64.0, "MiB"), "ok_share": (1.0 if correct else 0.5, "ratio")}
@@ -42,7 +52,10 @@ def root(tmp_path):
 def test_medians_and_quartiles(monkeypatch, root):
     spec = json.loads((root / "BENCHMARK.json").read_text())
     n_workloads = len(spec["workloads"])
-    monkeypatch.setattr(bench.subprocess, "run", fake_run([4.0, 1.0, 3.0, 2.0, 5.0] * n_workloads))
+    # five runs of each workload, then the tier-1 and N=1024 runs alternate
+    walls = [4.0, 1.0, 3.0, 2.0, 5.0] * n_workloads + [17.0, 12.0, 19.0, 11.0, 18.0, 13.0,
+                                                       16.0, 10.0, 20.0, 14.0]
+    monkeypatch.setattr(bench.subprocess, "run", fake_run(walls))
     assert bench.main(["--n", "7", "--seeds", "1,2,3,4,5", "--root", str(root)]) == 0
     record = json.loads((root / "BENCH_7.json").read_text())
     assert record["seeds"] == [1, 2, 3, 4, 5] and record["git_commit"] == "abc"
@@ -52,8 +65,27 @@ def test_medians_and_quartiles(monkeypatch, root):
     assert (wall["median"], wall["q1"], wall["q3"], wall["unit"]) == (3.0, 2.0, 4.0, "s")
     assert record["workloads"]["grid-direct"]["ok_share"]["values"] == [1.0] * 5
 
+    tier1 = record["north_star"]["tier1"]
+    assert (tier1["wall_s"]["median"], tier1["wall_s"]["q1"], tier1["wall_s"]["q3"]) == (
+        18.0, 17.0, 19.0)
+    assert tier1["passed"] == [173] * 5 and tier1["failed"] == [3] * 5
+    case = record["north_star"]["case_1024"]
+    assert case["wall_s"]["values"] == [12.0, 11.0, 13.0, 10.0, 14.0]
+    assert case["wall_s"]["median"] == 12.0
+    assert case["peak_rss_mib"]["median"] == 850.0 and case["peak_rss_mib"]["unit"] == "MiB"
+
 
 def test_wrong_outputs_write_nothing(monkeypatch, root):
     monkeypatch.setattr(bench.subprocess, "run", fake_run([1.0] * 9, correct=False))
+    assert bench.main(["--n", "7", "--seeds", "1", "--root", str(root)]) == 1
+    assert not (root / "BENCH_7.json").exists()
+
+
+@pytest.mark.parametrize("tier1_code, case_code", [(2, 0), (1, 1)])
+def test_failed_north_star_run_writes_nothing(monkeypatch, root, tier1_code, case_code):
+    # pytest's exit code 1 means failed tests, which the tier-1 suite has;
+    # any other error code, or a failed N=1024 case, stops the script
+    monkeypatch.setattr(bench.subprocess, "run",
+                        fake_run([1.0] * 9, tier1_code=tier1_code, case_code=case_code))
     assert bench.main(["--n", "7", "--seeds", "1", "--root", str(root)]) == 1
     assert not (root / "BENCH_7.json").exists()

@@ -214,8 +214,7 @@ class TestPointBatching:
 
         calls.clear()
         ErrorComputation(u_h, d, p)
-        # exact.value once more for the nodal errors of the max-norm column
-        assert calls == {"value": strips + 1, "gradient": strips, "delta": strips}
+        assert calls == {"value": strips, "gradient": strips, "delta": strips}
 
 
 class TestElementalMatrices:
@@ -314,26 +313,12 @@ class TestAssembly:
         returned = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + s.rhs.nbytes
         assert peak <= 7 * returned, peak / returned
 
-    def test_quad_order_stability(self):
-        p, m = bench(N=8, eps=1e-4)
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        A2 = assemble_system(m, p, d, quad_order=2).matrix
-        A4 = assemble_system(m, p, d, quad_order=4).matrix
-        diff = np.abs((A2 - A4).toarray()).max()
-        assert diff <= 1e-10 * np.abs(A4.toarray()).max()
-
     def test_mesh_mismatch_rejected(self):
         p, m8 = bench(N=8, eps=1e-4)
         _, m4 = bench(N=4, eps=1e-4)
         d8 = DeltaField.from_mesh(m8, DeltaVariant.STANDARD, 0.5)
         with pytest.raises(MeshProblemMismatch):
             assemble_system(m4, p, d8)
-
-    def test_low_quadrature_rejected(self):
-        p, m = bench()
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        with pytest.raises(QuadratureOrderTooLow):
-            assemble_system(m, p, d, quad_order=1)
 
     def test_reproducible_assembly(self):
         p, m = bench(N=8, eps=1e-8)
@@ -346,4 +331,4 @@ class TestAssembly:
     def test_dimension(self):
         p, m = bench(N=8, eps=1e-8)
         d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        assert assemble_system(m, p, d).dimension == 49
+        assert assemble_system(m, p, d).matrix.shape == (49, 49)

@@ -116,7 +116,7 @@ class TestRunExperiment:
 
     def test_failed_row_keeps_reason(self, monkeypatch, tmp_path, capsys):
         def boom(system, config):
-            raise RuntimeError(f"boom at {system.dimension} dofs")
+            raise RuntimeError(f"boom at {system.matrix.shape[0]} dofs")
 
         monkeypatch.setattr(harness, "solve", boom)
         out = tmp_path / "t.json"
@@ -192,6 +192,16 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "t_eps1e-08_standard.csv").exists()
         assert (tmp_path / "t_eps1e-08_modified.csv").exists()
+
+    def test_run_multi_table_dotted_directory(self, tmp_path):
+        # the suffix goes before the file's extension, not a directory's
+        outdir = tmp_path / "res.v1"
+        outdir.mkdir()
+        code = main(["run", "--N", "8", "--eps", "1e-8", "--delta", "both",
+                     "--out", str(outdir / "table")])
+        assert code == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "table_eps1e-08_modified", "table_eps1e-08_standard"]
 
     def test_grid_writes_json(self, tmp_path):
         out = tmp_path / "grid.json"
@@ -285,14 +295,16 @@ class TestCli:
         assert err == ["fallback: N=8 eps=1e-08 standard: "
                        "ilut failed: Factor is exactly singular; used jacobi"]
 
-    def test_precond_ilu0_spelling(self, tmp_path):
-        for name in ("ilut", "ilu0"):
-            out = tmp_path / f"{name}.json"
-            code = main(["run", "--N", "8", "--eps", "1e-8", "--precond", name,
-                         "--format", "json", "--out", str(out)])
-            assert code == 0
-            (entry,) = json.loads(out.read_text())["metadata"]["solver"]
-            assert entry["method"] == "gmres(60)+ilut"
+    def test_precond_choices(self, tmp_path):
+        out = tmp_path / "t.json"
+        code = main(["run", "--N", "8", "--eps", "1e-8", "--precond", "ilut",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        (entry,) = json.loads(out.read_text())["metadata"]["solver"]
+        assert entry["method"] == "gmres(60)+ilut"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--N", "8", "--precond", "ilu0", "--out", str(out)])
+        assert exc.value.code == 2
 
     def test_mesh_dump(self, tmp_path):
         out = tmp_path / "mesh.txt"

@@ -113,7 +113,7 @@ class TestMesh2D:
 
     def test_strip_is_last_coarse_row_and_column(self):
         mesh = bench_mesh(N=8, eps=1e-4)
-        assert mesh.x_t - mesh.x_s == pytest.approx(mesh.x_axis.H, rel=1e-12)
+        assert mesh.x_t - mesh.x_axis.strip_point == pytest.approx(mesh.x_axis.H, rel=1e-12)
         J, I = np.nonzero(mesh.region_mask(RegionSel.OMEGA_S_EPS_COMPLEMENT))
         strip_cells = set(zip(I.tolist(), J.tolist()))
         expected = {(i, 3) for i in range(4)} | {(3, j) for j in range(4)}
@@ -140,7 +140,8 @@ class TestClassifyPoint:
     def test_transition_corner_tie_breaks_into_omega_s(self):
         mesh = bench_mesh()
         assert classify_point(mesh, mesh.x_t, mesh.y_t) is RegionSel.OMEGA_S_EPS_COMPLEMENT
-        assert classify_point(mesh, mesh.x_s, mesh.y_s) is RegionSel.OMEGA_S_EPS
+        corner = (mesh.x_axis.strip_point, mesh.y_axis.strip_point)
+        assert classify_point(mesh, *corner) is RegionSel.OMEGA_S_EPS
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-16])
     def test_region_mask_agrees_at_cell_midpoints(self, eps):

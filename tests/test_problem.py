@@ -100,10 +100,8 @@ class TestSource:
 
 class TestValidation:
     def test_benchmark_passes(self):
-        # b = (2, 1), c = 1: beta and mu0 are the coefficients themselves
         p = make_benchmark(1e-8)
         assert (p.b1, p.b2, p.c) == (2.0, 1.0, 1.0)
-        assert (p.beta1, p.beta2, p.mu0) == (p.b1, p.b2, p.c)
 
     def test_degenerate_convection_fails(self):
         p = make_benchmark(1e-8)
@@ -121,5 +119,4 @@ class TestValidation:
         assert "paper-benchmark" in PROBLEMS
         p = PROBLEMS["paper-benchmark"](1e-8)
         assert isinstance(p, ProblemSpec)
-        assert (p.beta1, p.beta2, p.mu0) == (2.0, 1.0, 1.0)
         assert len(dataclasses.fields(ProblemSpec)) == 7

@@ -30,18 +30,20 @@ class TestRamps:
         _, m = bench()
         d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
         base = 0.5 / m.N
-        assert delta_on_omega_s(d, m.x_s, 0.1)[0] == base
+        assert delta_on_omega_s(d, m.x_axis.strip_point, 0.1)[0] == base
         assert delta_on_omega_s(d, m.x_t, 0.1)[0] == pytest.approx(0.0, abs=1e-12)
-        assert delta_on_omega_s(d, 0.1, m.y_s)[0] == base
+        assert delta_on_omega_s(d, 0.1, m.y_axis.strip_point)[0] == base
         assert delta_on_omega_s(d, 0.1, m.y_t)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint_linearity(self):
         _, m = bench()
         d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
         base = 0.5 / m.N
-        assert delta_on_omega_s(d, m.x_s + m.x_axis.H / 2, 0.1)[0] == pytest.approx(
+        x_mid = m.x_axis.strip_point + m.x_axis.H / 2
+        assert delta_on_omega_s(d, x_mid, 0.1)[0] == pytest.approx(
             0.5 * base, rel=1e-12)
-        assert delta_on_omega_s(d, 0.1, m.y_s + m.y_axis.H / 2)[0] == pytest.approx(
+        y_mid = m.y_axis.strip_point + m.y_axis.H / 2
+        assert delta_on_omega_s(d, 0.1, y_mid)[0] == pytest.approx(
             0.5 * base, rel=1e-12)
 
 
@@ -55,8 +57,8 @@ class TestDelta:
         _, m = bench(N=8)
         ds = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
         dm = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
-        x = np.array([0.1, 0.3, m.x_s])
-        y = np.array([0.1, 0.3, m.y_s])
+        x = np.array([0.1, 0.3, m.x_axis.strip_point])
+        y = np.array([0.1, 0.3, m.y_axis.strip_point])
         assert np.array_equal(delta_on_omega_s(dm, x, y), delta_on_omega_s(ds, x, y))
 
     def test_vanishes_in_layers(self):

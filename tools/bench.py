@@ -1,5 +1,5 @@
 """Write BENCH_<n>.json: medians and quartiles of the benchmark's end-to-end
-metrics over repeated runs.
+metrics and of the north-star measures over repeated runs.
 
     python3 tools/bench.py --n 10 --seeds 1,2,3,4,5 [--root DIR]
 
@@ -15,18 +15,51 @@ plus the seeds, host, CPU, Python, numpy and scipy versions and the git
 commit, to DIR/BENCH_<n>.json. A run that exits non-zero, prints no
 result or reports wrong outputs stops the script with exit code 1 and
 writes nothing.
+
+Once per seed it then measures, under the key `north_star`, with
+PYTHONPATH=DIR/src and one BLAS thread:
+
+- the tier-1 suite, `python3 -m pytest -q --continue-on-collection-errors`:
+  its wall time and pytest's passed and failed counts. Exit code 1 (some
+  tests failed) is expected; any other non-zero code, or no count line,
+  stops the script as above;
+- one `sdfem run --N 1024 --eps 1e-8` case in a fresh interpreter: its wall
+  time and its peak RSS. A non-zero exit stops the script.
+
+Each of the two runs as the only child of a small interpreter that times
+it and reads its peak RSS from getrusage(RUSAGE_CHILDREN).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ENV_KEYS = ("host", "cpu", "nproc", "affinity", "python", "numpy", "scipy",
             "git_commit", "src_sha256", "threads")
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+CASE_1024 = ["-m", "sdfem.cli", "run", "--N", "1024", "--eps", "1e-8"]
+
+# Runs the command in argv[1:] as its only child; its last stdout line is
+# the child's exit code, wall time and peak RSS.
+MEASURE = """\
+import json, resource, subprocess, sys, time
+t0 = time.perf_counter()
+code = subprocess.run(sys.argv[1:]).returncode
+wall = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps({"returncode": code, "wall_s": wall, "peak_rss_kib": rss}))
+"""
 
 
 class RunFailed(RuntimeError):
@@ -48,6 +81,40 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
         raise RunFailed(f"{workload} seed {seed}: {result['failed']} of "
                         f"{result['attempted']} cases wrong: {proc.stderr.strip()[-500:]}")
     return env, result
+
+
+def measure(root: Path, args: list[str]) -> tuple[dict, list[str]]:
+    """Run `python3 *args` in root under MEASURE: its measures and the
+    lines it printed."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"), "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", MEASURE, sys.executable, *args],
+                          cwd=root, capture_output=True, text=True, env=env)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines or not lines[-1].startswith("{"):
+        raise RunFailed(f"measuring {' '.join(args)} exited {proc.returncode}: "
+                        f"{proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1]), lines[:-1]
+
+
+def tier1_once(root: Path) -> dict:
+    """Wall time and passed/failed counts of one tier-1 run."""
+    m, lines = measure(root, TIER1)
+    pattern = re.compile(r"(\d+) (passed|failed)")
+    summary = next((line for line in reversed(lines) if pattern.search(line)), None)
+    if m["returncode"] not in (0, 1) or summary is None:
+        raise RunFailed(f"tier-1 tests exited {m['returncode']}: {' '.join(lines[-3:])}")
+    counts = {kind: int(n) for n, kind in pattern.findall(summary)}
+    return {"wall_s": m["wall_s"], "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0)}
+
+
+def case_1024_once(root: Path) -> dict:
+    """Wall time and peak RSS of one N=1024 case in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        m, lines = measure(root, [*CASE_1024, "--out", str(Path(tmp) / "table.csv")])
+    if m["returncode"] != 0:
+        raise RunFailed(f"sdfem {' '.join(CASE_1024[2:])} exited {m['returncode']}")
+    return {"wall_s": m["wall_s"], "peak_rss_mib": m["peak_rss_kib"] / 1024}
 
 
 def summarize(values: list[float]) -> dict:
@@ -87,6 +154,12 @@ def main(argv=None) -> int:
                 name: {"unit": results[0]["metrics"][name]["unit"],
                        **summarize([r["metrics"][name]["value"] for r in results])}
                 for name in metric_names}
+        tier1, case_1024 = [], []
+        for seed in seeds:
+            tier1.append(tier1_once(root))
+            case_1024.append(case_1024_once(root))
+            print(f"north star run {seed}: tier-1 {tier1[-1]}, N=1024 {case_1024[-1]}",
+                  file=sys.stderr)
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -98,6 +171,20 @@ def main(argv=None) -> int:
         **{key: envs[0].get(key) for key in ENV_KEYS},
         "loadavg_start": [env.get("loadavg_start") for env in envs],
         "workloads": summary,
+        "north_star": {
+            "tier1": {
+                "command": "python3 " + " ".join(TIER1),
+                "wall_s": {"unit": "s", **summarize([r["wall_s"] for r in tier1])},
+                "passed": [r["passed"] for r in tier1],
+                "failed": [r["failed"] for r in tier1],
+            },
+            "case_1024": {
+                "command": "python3 " + " ".join(CASE_1024),
+                "wall_s": {"unit": "s", **summarize([r["wall_s"] for r in case_1024])},
+                "peak_rss_mib": {"unit": "MiB",
+                                 **summarize([r["peak_rss_mib"] for r in case_1024])},
+            },
+        },
     }
     out = root / f"BENCH_{args.n}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
