@@ -111,7 +111,7 @@ def tier1_once(root: Path) -> dict:
 def case_1024_once(root: Path) -> dict:
     """Wall time and peak RSS of one N=1024 case in a fresh interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
-        m, lines = measure(root, [*CASE_1024, "--out", str(Path(tmp) / "table.csv")])
+        m, _ = measure(root, [*CASE_1024, "--out", str(Path(tmp) / "table.csv")])
     if m["returncode"] != 0:
         raise RunFailed(f"sdfem {' '.join(CASE_1024[2:])} exited {m['returncode']}")
     return {"wall_s": m["wall_s"], "peak_rss_mib": m["peak_rss_kib"] / 1024}
