@@ -1,11 +1,23 @@
 """Q1 finite element machinery: the cell-point kernel (geometry and basis
-at reference points of a strip of cell rows), Gauss quadrature and assembly
-of the stabilized system.
+at reference points of a block of cell rows and columns), Gauss quadrature
+and assembly of the stabilized system.
 
-Assembly is vectorized over all quadrature points and cells of one row
-strip at a time, so each field is evaluated once per strip and its
-temporaries stay small. The element blocks are summed into the nine-point
-stencil of every interior node and written straight into CSR. The
+The matrix is built from a table of cell classes. The coefficients are
+constants, so a cell's element matrix depends only on its two widths and on
+delta at its quadrature points. On each axis, the cells whose width, Omega_s
+flag and delta ramp at the quadrature abscissae are bit-equal form one
+class: coarse, the last coarse strip and fine on a Shishkin mesh, more on a
+mesh that breaks that pattern. The element matrices are computed once, on
+one representative cell per pair of a row class and a column class. An
+interior node's nine-point stencil depends only on the class pairs of the
+columns left and right of it and of the rows below and above it, so it is
+summed once per pair that occurs, and CSR data is one gather from those
+stencils. Every entry goes through the floating-point operations, in the
+order, of a cell-by-cell assembly, so the matrix is bit-identical to one.
+
+The right-hand side depends on position through f. It is vectorized over
+all quadrature points and cells of one row strip at a time, so each field
+is evaluated once per strip and its temporaries stay small. The
 accumulation order is fixed, so the assembled system is bit-reproducible
 and does not depend on the strip height.
 """
@@ -71,14 +83,15 @@ class SparseSystem:
 @dataclass(frozen=True)
 class CellPoint:
     """Every point (a, b) of a tensor rule on [0, 1]^2 mapped into every
-    cell of a strip of R cell rows (R = N for the whole mesh).
+    cell of a block of R cell rows and C cell columns (R = C = N for the
+    whole mesh).
 
-    Point (ia, ib) of cell (i, j) sits at index [ia, ib, j - j0, i] of a
-    (Qa, Qb, R, N) array, j0 being the strip's first row. The x-axis arrays
-    X and SX have shape (Qa, 1, 1, N), the y-axis arrays Y and SY shape
-    (1, Qb, R, 1), so a field of (X, Y) is evaluated on Qa*N + Qb*R
-    abscissae and broadcast; WX is (1, N), WY (R, 1) and weight
-    (Qa, Qb, R, N). The basis function of corner LOCAL_NODES[k] = (di, dj)
+    Point (ia, ib) of the cell in the block's row r and column s sits at
+    index [ia, ib, r, s] of a (Qa, Qb, R, C) array. The x-axis arrays X
+    and SX have shape (Qa, 1, 1, C), the y-axis arrays Y and SY shape
+    (1, Qb, R, 1), so a field of (X, Y) is evaluated on Qa*C + Qb*R
+    abscissae and broadcast; WX is (1, C), WY (R, 1) and weight
+    (Qa, Qb, R, C). The basis function of corner LOCAL_NODES[k] = (di, dj)
     is nx[di] * ny[dj], nx holding (Qa, 1, 1, 1) and ny (1, Qb, 1, 1)
     arrays; its physical gradient is (dphi_da[k] / WX, dphi_db[k] / WY).
     """
@@ -126,10 +139,11 @@ class CellPoint:
 
 
 def point_sum(values: np.ndarray) -> np.ndarray:
-    """Sum a (Qa, Qb, R, N) array over its points, one after the other in
+    """Sum a (Qa, Qb, R, C) array over its points, one after the other in
     CellPoint order (ia outermost), as a per-point loop would. numpy adds
-    along the leading axis in order whenever R * N > 1, which every mesh
-    strip (N >= 4) has."""
+    along the leading axis in order whenever R * C > 1, which every mesh
+    strip (N >= 4) and every block of class representatives (at least two
+    classes per axis) has."""
     return np.add.reduce(values.reshape(-1, *values.shape[2:]), axis=0)
 
 
@@ -142,24 +156,25 @@ def row_strips(N: int, points: int):
 
 
 def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
-                rows: slice = slice(None)) -> CellPoint:
+                rows=slice(None), cols=slice(None)) -> CellPoint:
     """Map the tensor points of `rule` into every cell of the cell rows
-    `rows`, all points of the strip in one CellPoint.
+    `rows` and columns `cols` (slices or index arrays), all points of the
+    block in one CellPoint.
 
-    Only the y-axis arrays are sliced, so every cell gets the same
-    elementwise operations whatever strip it falls in. Offsets come from
+    Only the per-axis arrays are indexed, so every cell gets the same
+    elementwise operations whatever block it falls in. Offsets come from
     the exact cell offsets, not from 1 - X, so layer-cell points stay
     distinct down to eps = 1e-16.
     """
     ax, ay = mesh.x_axis, mesh.y_axis
-    WX = ax.cell_width[None, :]
+    WX = ax.cell_width[None, cols]
     WY = ay.cell_width[rows, None]
     a = rule.points[:, None, None, None]
     b = rule.points[None, :, None, None]
     return CellPoint(
-        X=ax.cell_left + a * WX,
+        X=ax.cell_left[cols] + a * WX,
         Y=ay.cell_left[rows, None] + b * WY,
-        SX=ax.cell_sigma_left - a * WX,
+        SX=ax.cell_sigma_left[cols] - a * WX,
         SY=ay.cell_sigma_left[rows, None] - b * WY,
         WX=WX,
         WY=WY,
@@ -190,6 +205,28 @@ def _stencil_pattern(N: int):
     return keep, indptr, indices
 
 
+def _cell_classes(width: np.ndarray, in_omega_s: np.ndarray, ramp: np.ndarray):
+    """Classes of the N cells along one axis: cells whose width, Omega_s
+    flag and delta ramp at each of the Q abscissae (ramp is (Q, N)) are
+    bit-equal share a class. Returns (first, code): the first cell of each
+    class and the class of every cell."""
+    key = np.ascontiguousarray(np.column_stack((width, in_omega_s, ramp.T)))
+    # each cell's key as one byte string, so that equal means bit-equal
+    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, code = np.unique(key, return_index=True, return_inverse=True)
+    return first, code
+
+
+def _node_pairs(code: np.ndarray):
+    """The class pairs (before, after) of the cells on either side of the
+    N-1 interior nodes of one axis, each pair that occurs once. Returns
+    ((before, after), pair): two arrays over the pairs, and every node's
+    pair."""
+    n = code.max() + 1
+    pairs, pair = np.unique(code[:-1] * n + code[1:], return_inverse=True)
+    return np.divmod(pairs, n), pair
+
+
 def assemble_system(
     mesh: ShishkinMesh2D,
     problem: ProblemSpec,
@@ -200,7 +237,9 @@ def assemble_system(
 
     Entry (k, l) is a_SD(phi_l, phi_k) with the -eps*Lap term dropped from
     the stabilization residual (it vanishes for Q1 on rectangles).
-    Dirichlet rows/columns are eliminated.
+    Dirichlet rows/columns are eliminated. The matrix comes from the table
+    of cell classes (module docstring), bit-identical to a cell-by-cell
+    assembly; the right-hand side from a loop over row strips.
     """
     if not delta_field.matches(mesh):
         raise MeshProblemMismatch("delta field was built on a different mesh")
@@ -208,49 +247,58 @@ def assemble_system(
     N = mesh.N
     eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
     in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
+    row_in_s, col_in_s = in_omega_s.any(axis=1), in_omega_s.any(axis=0)
+    if not np.array_equal(in_omega_s, row_in_s[:, None] & col_in_s):
+        raise ValueError("Omega_s is not a block of whole cell rows and columns")
 
-    # matrix
-    Aloc = np.zeros((4, 4, N, N))
+    # matrix: the classes, from the abscissae of every column and every row
+    # (blocks without rows or columns carry no weights)
     rule = QuadratureRule.gauss(MATRIX_ORDER)
-    for rows in row_strips(N, MATRIX_ORDER**2):
-        A_rows = Aloc[:, :, rows]
-        p = cell_points(mesh, rule, rows)
-        phi = p.phi
-        gx, gy = p.basis_gradients()
-        dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
-        conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
-        resid = [conv[l] + c * phi[l] for l in range(4)]
-        for k in range(4):
-            for l in range(4):
-                A_rows[k, l] += point_sum(p.weight * (
-                    eps * (gx[l] * gx[k] + gy[l] * gy[k])
-                    + resid[l] * phi[k]
-                    + resid[l] * dv * conv[k]
-                ))
+    xi, eta = delta_field.ramps(cell_points(mesh, rule, rows=slice(0)).X,
+                                cell_points(mesh, rule, cols=slice(0)).Y)
+    rep_cols, col_class = _cell_classes(mesh.x_axis.cell_width, col_in_s, xi.reshape(-1, N))
+    rep_rows, row_class = _cell_classes(mesh.y_axis.cell_width, row_in_s, eta.reshape(-1, N))
 
-    # Node (i, j) is corner k = (di, dj) of cell (i - di, j - dj), so the
-    # interior nodes' corner-k entries are the [1-dj:N-dj, 1-di:N-di] slice
-    # of a per-cell array. Block (k, l) couples node k to its neighbour at
-    # offset (di_l - di_k, dj_l - dj_k); diagonals sum their four blocks in
-    # k order, every other offset sums at most two.
-    n = N - 1
-    corner = [(slice(1 - dj, N - dj), slice(1 - di, N - di)) for di, dj in LOCAL_NODES]
-    stencil = np.empty((3, 3, n, n))  # [oj+1, oi+1, j-1, i-1]
+    # element matrices of one representative cell per (row, column) class
+    Aloc = np.zeros((4, 4, rep_rows.size, rep_cols.size))
+    p = cell_points(mesh, rule, rep_rows, rep_cols)
+    phi = p.phi
+    gx, gy = p.basis_gradients()
+    dv = delta_field.evaluate_cells(in_omega_s[np.ix_(rep_rows, rep_cols)], p.X, p.Y)
+    conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
+    resid = [conv[l] + c * phi[l] for l in range(4)]
+    for k in range(4):
+        for l in range(4):
+            Aloc[k, l] += point_sum(p.weight * (
+                eps * (gx[l] * gx[k] + gy[l] * gy[k])
+                + resid[l] * phi[k]
+                + resid[l] * dv * conv[k]
+            ))
+
+    # Node (i, j) is corner k = (di, dj) of cell (i - di, j - dj): of the
+    # cell after it (di = 0) or before it (di = 1) on the x axis, likewise
+    # on the y axis. Block (k, l) couples node k to its neighbour at offset
+    # (di_l - di_k, dj_l - dj_k); diagonals sum their four blocks in k
+    # order, every other offset sums at most two. Nodes with the same row
+    # pair and column pair share their stencil, so it is summed once for
+    # them all.
+    row_sides, row_pair = _node_pairs(row_class)
+    col_sides, col_pair = _node_pairs(col_class)
+    # [row pair, column pair, oj+1, oi+1]
+    stencil = np.empty((row_pair.max() + 1, col_pair.max() + 1, 3, 3))
     filled = set()
     for k, (dik, djk) in enumerate(LOCAL_NODES):
+        blocks = Aloc[k][:, row_sides[1 - djk][:, None], col_sides[1 - dik]]
         for l, (dil, djl) in enumerate(LOCAL_NODES):
-            offset = (djl - djk + 1, dil - dik + 1)
-            block = Aloc[(k, l, *corner[k])]
+            offset = (..., djl - djk + 1, dil - dik + 1)
             if offset in filled:
-                stencil[offset] += block
+                stencil[offset] += blocks[l]
             else:
-                stencil[offset] = block
+                stencil[offset] = blocks[l]
                 filled.add(offset)
-    # the views go too, or they would keep the element blocks alive
-    del Aloc, A_rows, block
     keep, indptr, indices = _stencil_pattern(N)
-    data = stencil.transpose(2, 3, 0, 1)[keep]
-    del stencil  # before the right-hand side allocates its own arrays
+    data = stencil[row_pair[:, None], col_pair][keep]
+    n = N - 1
     A = sp.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
 
     # right-hand side
@@ -266,8 +314,10 @@ def assemble_system(
         for k in range(4):
             F_rows[k] += point_sum(p.weight * fv * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k])))
 
+    # the interior nodes' corner-k entries are the [1-dj:N-dj, 1-di:N-di]
+    # slice of a per-cell array
     F = np.zeros((n, n))
-    for k in range(4):
-        F += Floc[(k, *corner[k])]
+    for k, (di, dj) in enumerate(LOCAL_NODES):
+        F += Floc[k, 1 - dj:N - dj, 1 - di:N - di]
 
     return SparseSystem(matrix=A, rhs=F.ravel())

@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +46,14 @@ def _failure(N: int, exc: Exception) -> dict:
     return {"N": N, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _solver_entry(N: int, stats: SolveStats) -> dict:
-    """What the solve of case N did and cost; "fallback" only when its
-    preconditioner fell back."""
-    entry = {"N": N, "iters": stats.iterations, "method": stats.method,
-             "setup_time": stats.setup_time, "fill": stats.fill}
+def _solver_entry(case: CaseResult) -> dict:
+    """What the assembly and solve of a case did and cost; "fallback" only
+    when its preconditioner fell back."""
+    stats = case.stats
+    entry = {"N": case.N, "iters": stats.iterations, "method": stats.method,
+             "setup_time": stats.setup_time, "fill": stats.fill,
+             "ndofs": case.ndofs, "nnz": case.nnz,
+             "assemble_time": case.assemble_time, "solve_time": stats.wall_time}
     if stats.fallback:
         entry["fallback"] = stats.fallback
     return entry
@@ -91,6 +95,9 @@ class CaseResult:
     delta: DeltaField
     u_h: DiscreteFunction
     stats: SolveStats
+    ndofs: int
+    nnz: int
+    assemble_time: float  # wall time of assemble_system
 
     @functools.cached_property
     def comp(self) -> ErrorComputation:
@@ -122,11 +129,14 @@ def run_single(
     computed on the first report()."""
     problem, mesh = build_case(problem_name, N, eps)
     delta = DeltaField.from_mesh(mesh, variant, c_star)
+    start = time.perf_counter()
     system = assemble_system(mesh, problem, delta)
+    assemble_time = time.perf_counter() - start
     u, stats = solve(system, solver_config or SolverConfig())
     u_h = DiscreteFunction.from_dof_vector(mesh, u)
     return CaseResult(N=N, eps=eps, variant=variant, c_star=c_star, problem=problem,
-                      delta=delta, u_h=u_h, stats=stats)
+                      delta=delta, u_h=u_h, stats=stats, ndofs=system.matrix.shape[0],
+                      nnz=system.matrix.nnz, assemble_time=assemble_time)
 
 
 @dataclass
@@ -220,7 +230,7 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
                 rec.solver_iters = case.stats.iterations
                 rec.residual = case.stats.residual
                 records.append(rec)
-                stats_summary.append(_solver_entry(N, case.stats))
+                stats_summary.append(_solver_entry(case))
             _fill_rates(records)
             metadata = {"problem": config.problem, "solver": stats_summary}
             if failures:
@@ -300,11 +310,14 @@ def emit_error_grid(
 ) -> tuple[ErrorGrid, SolveStats]:
     """Solve one case and dump the pointwise error grid as JSON. Layer
     points carry the exact offsets alongside the lossy absolute coords; the
-    head's "solver" entry records the solve as run_experiment does.
-    Returns the grid and the solve's stats.
+    head's "solver" entry records the case's size, assembly and solve as
+    run_experiment does. Returns the grid and the solve's stats.
 
-    Raises Unconverged, and writes nothing, when the solve misses its
-    residual tolerance."""
+    Raises ConfigError for samples_per_cell < 1 before any work, and
+    Unconverged, writing nothing, when the solve misses its residual
+    tolerance."""
+    if samples_per_cell < 1:
+        raise ConfigError("samples_per_cell must be >= 1")
     solver_config = solver_config or SolverConfig()
     case = run_single(problem_name, N, eps, variant, c_star, solver_config)
     if not case.stats.converged:
@@ -317,7 +330,7 @@ def emit_error_grid(
         "cstar": c_star,
         "samples_per_cell": samples_per_cell,
         "point_fields": ["x", "y", "sigma_x", "sigma_y", "abs_error"],
-        "solver": _solver_entry(N, case.stats),
+        "solver": _solver_entry(case),
     }
     text = _with_points_json(head, grid, N, samples_per_cell)
     with open(path, "w") as fh:

@@ -64,9 +64,15 @@ class DeltaField:
         base = self.c_star / self.N
         if self.variant is DeltaVariant.STANDARD:
             return np.where(in_omega_s, base, 0.0)
+        xi, eta = self.ramps(x, y)
+        return np.where(in_omega_s, base * xi * eta, 0.0)
+
+    def ramps(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The modified variant's factors xi(x) = clip((x_t - x)/H_x, 0, 1)
+        and eta(y) likewise, elementwise."""
         xi = np.clip((self.x_t - np.asarray(x, dtype=float)) / self.H_x, 0.0, 1.0)
         eta = np.clip((self.y_t - np.asarray(y, dtype=float)) / self.H_y, 0.0, 1.0)
-        return np.where(in_omega_s, base * xi * eta, 0.0)
+        return xi, eta
 
 
 def admissible_cstar(problem, mesh: ShishkinMesh2D) -> float:

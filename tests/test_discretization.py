@@ -187,7 +187,9 @@ class TestPointBatching:
 
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
-        # every field is evaluated once per row strip, never once per point
+        # every field is evaluated once per row strip, never once per point;
+        # the matrix evaluates delta once, on its block of class
+        # representatives
         calls = Counter()
 
         def counted(name, fn):
@@ -210,11 +212,90 @@ class TestPointBatching:
 
         calls.clear()
         assemble_system(m, p, d)
-        assert calls == {"f": strips, "delta": matrix_strips + strips}
+        assert calls == {"f": strips, "delta": 1 + strips}
 
         calls.clear()
         ErrorComputation(u_h, d, p)
         assert calls == {"value": strips, "gradient": strips, "delta": strips}
+
+
+def assemble_counting_classes(monkeypatch, m, p, d):
+    """The assembled system and the number of cell classes found on the x
+    and on the y axis."""
+    counts = []
+
+    def spy(*args):
+        first, code = classify(*args)
+        counts.append(first.size)
+        return first, code
+
+    classify = discretization._cell_classes
+    monkeypatch.setattr(discretization, "_cell_classes", spy)
+    s = assemble_system(m, p, d)
+    monkeypatch.undo()
+    return s, counts
+
+
+def nudge_node(m, i, ulps):
+    """The mesh with x node i (0 < i < N/2) moved by `ulps` ulps, the two
+    adjacent cell widths following it."""
+    ax = m.x_axis
+    left, width = ax.cell_left.copy(), ax.cell_width.copy()
+    shift = ulps * np.spacing(left[i])
+    left[i] += shift
+    width[i - 1] += shift
+    width[i] -= shift
+    return dataclasses.replace(m, x_axis=dataclasses.replace(ax, cell_left=left, cell_width=width))
+
+
+class TestCellClasses:
+    @pytest.mark.parametrize("N", [4, 8, 64])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-16])
+    @pytest.mark.parametrize("variant", list(DeltaVariant))
+    def test_shishkin_axes_have_three_classes(self, monkeypatch, N, eps, variant):
+        # coarse, the last coarse strip and fine
+        p, m = bench(N=N, eps=eps)
+        d = DeltaField.from_mesh(m, variant, 0.5)
+        _, counts = assemble_counting_classes(monkeypatch, m, p, d)
+        assert counts == [3, 3]
+
+    @pytest.mark.parametrize("variant", list(DeltaVariant))
+    def test_broken_pattern_gets_more_classes(self, monkeypatch, variant):
+        # columns 0 and 1 leave the coarse class, each for a class of its own
+        p, m = bench(N=8, eps=1e-4)
+        m = nudge_node(m, 1, 4)
+        assert len(set(m.x_axis.cell_width[:3])) == 3
+        d = DeltaField.from_mesh(m, variant, 0.5)
+        s, counts = assemble_counting_classes(monkeypatch, m, p, d)
+        assert counts == [5, 3]
+        O = dense_sdfem_matrix(m, p, variant, 0.5)
+        assert np.abs(s.matrix.toarray() - O).max() <= 1e-12 * np.abs(O).max()
+
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-16])
+    @pytest.mark.parametrize("variant", list(DeltaVariant))
+    def test_same_bytes_as_one_class_per_cell(self, monkeypatch, N, eps, variant):
+        # a class per cell is the cell-by-cell assembly
+        p, m = bench(N=N, eps=eps)
+        d = DeltaField.from_mesh(m, variant, 0.5)
+        for mesh in (m, nudge_node(m, N // 4, 2)):
+            shared = assemble_system(mesh, p, d).matrix
+            monkeypatch.setattr(discretization, "_cell_classes",
+                                lambda width, *_: (np.arange(width.size),) * 2)
+            alone = assemble_system(mesh, p, d).matrix
+            monkeypatch.undo()
+            for a, b in ((shared.indptr, alone.indptr), (shared.indices, alone.indices),
+                         (shared.data, alone.data)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_omega_s_must_be_rows_times_columns(self):
+        p, m = bench(N=8, eps=1e-4)
+        codes = m.cell_codes.copy()
+        codes[0, -1] = codes[0, 0]  # one layer cell tagged as Omega_s
+        m = dataclasses.replace(m, cell_codes=codes)
+        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
+        with pytest.raises(ValueError, match="Omega_s"):
+            assemble_system(m, p, d)
 
 
 class TestElementalMatrices:
@@ -299,8 +380,9 @@ class TestAssembly:
             assert np.abs(F - O).max() <= 1e-12 * np.abs(O).max(), N
 
     def test_memory_budget(self):
-        # the stencil is summed from slices and written straight into CSR,
-        # so assembly holds no COO triplets of every (k, l) block
+        # the stencils are summed once per class pair and gathered straight
+        # into CSR, so assembly holds neither per-cell element blocks nor
+        # COO triplets of every (k, l) block
         p, m = bench(N=128, eps=1e-8)
         d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
         tracemalloc.start()

@@ -114,6 +114,17 @@ class TestRunExperiment:
             assert "fallback" not in e
         assert "failures" not in artifact.metadata
 
+    def test_solver_entry_sizes_and_times(self, artifact, tmp_path):
+        # each case records its system size, its assembly and its solve
+        out = tmp_path / "grid.json"
+        main(["grid", "--N", "12", "--eps", "1e-8", "--samples", "1", "--out", str(out)])
+        entries = artifact.metadata["solver"] + [json.loads(out.read_text())["solver"]]
+        assert [e["N"] for e in entries] == [8, 16, 12]
+        for e in entries:
+            N = e["N"]
+            assert (e["ndofs"], e["nnz"]) == ((N - 1) ** 2, (3 * N - 5) ** 2)
+            assert e["assemble_time"] > 0.0 and e["solve_time"] > 0.0
+
     def test_failed_row_keeps_reason(self, monkeypatch, tmp_path, capsys):
         def boom(system, config):
             raise RuntimeError(f"boom at {system.matrix.shape[0]} dofs")
@@ -226,12 +237,27 @@ class TestCli:
                 "samples_per_cell": s,
                 "point_fields": ["x", "y", "sigma_x", "sigma_y", "abs_error"],
                 "solver": {"N": N, "iters": stats.iterations, "method": stats.method,
-                           "setup_time": stats.setup_time, "fill": stats.fill},
+                           "setup_time": stats.setup_time, "fill": stats.fill,
+                           "ndofs": (N - 1) ** 2, "nnz": (3 * N - 5) ** 2,
+                           # the one figure stats does not carry
+                           "assemble_time": json.loads(out.read_text())["solver"][
+                               "assemble_time"],
+                           "solve_time": stats.wall_time},
                 "points": np.column_stack(
                     [grid.x, grid.y, grid.sigma_x, grid.sigma_y, grid.abs_error]
                 ).tolist(),
             }
             assert out.read_bytes() == json.dumps(payload).encode(), (N, eps, s)
+
+    def test_grid_rejects_samples_before_solving(self, monkeypatch, tmp_path, capsys):
+        def assemble(*args, **kwargs):
+            raise AssertionError("assemble_system called")
+
+        monkeypatch.setattr(harness, "assemble_system", assemble)
+        out = tmp_path / "grid.json"
+        assert main(["grid", "--N", "8", "--samples", "0", "--out", str(out)]) == 2
+        assert "samples_per_cell must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_unconverged_fails(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
