@@ -140,14 +140,11 @@ class ErrorComputation:
         )
 
 
-def sd_norm_discrete(
-    u_h: DiscreteFunction,
-    problem: ProblemSpec,
-    delta_field: DeltaField,
-    quad_order: int = 4,
-) -> float:
-    """SD norm of a discrete function itself (no exact solution involved)."""
-    comp = ErrorComputation(u_h, delta_field, problem, use_exact=False, quad_order=quad_order)
+def sd_norm_discrete(u_h: DiscreteFunction, problem: ProblemSpec,
+                     delta_field: DeltaField) -> float:
+    """SD norm of a discrete function itself (no exact solution involved),
+    with a 4-point Gauss rule per axis."""
+    comp = ErrorComputation(u_h, delta_field, problem, use_exact=False, quad_order=4)
     r = comp.report(RegionSel.GLOBAL)
     return r.sd_norm
 

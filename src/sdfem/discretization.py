@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import RegionSel, ShishkinMesh2D
+from .mesh import FINE, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
 
@@ -246,10 +246,9 @@ def assemble_system(
 
     N = mesh.N
     eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
-    in_omega_s = mesh.region_mask(RegionSel.OMEGA_S)
-    row_in_s, col_in_s = in_omega_s.any(axis=1), in_omega_s.any(axis=0)
-    if not np.array_equal(in_omega_s, row_in_s[:, None] & col_in_s):
-        raise ValueError("Omega_s is not a block of whole cell rows and columns")
+    # Omega_s: the cells whose row and column are both coarse
+    row_in_s, col_in_s = mesh.y_axis.cell_kind != FINE, mesh.x_axis.cell_kind != FINE
+    in_omega_s = row_in_s[:, None] & col_in_s
 
     # matrix: the classes, from the abscissae of every column and every row
     # (blocks without rows or columns carry no weights)

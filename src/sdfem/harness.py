@@ -193,8 +193,9 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
 
     A failed case (an exception or an unconverged solve) marks its row
     failed instead of aborting the sweep; metadata["failures"] then lists
-    {"N", "error"} per failed row. A row whose preconditioner fell back
-    carries the reason as "fallback" in its metadata["solver"] entry.
+    {"N", "error"} per failed row. Every row whose case was assembled and
+    solved, failed or not, has a metadata["solver"] entry; one whose
+    preconditioner fell back carries the reason there as "fallback".
     """
     artifacts = []
     for eps in config.eps_list:
@@ -204,33 +205,26 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
             failures = []
             for N in config.N_list:
                 rec = ConvergenceRecord(N=N)
+                records.append(rec)
+                case = None
                 try:
                     case = run_single(config.problem, N, eps, variant, config.c_star,
                                       config.solver)
-                    if case.stats.converged:
-                        g = case.report(RegionSel.GLOBAL)
-                        s = case.report(RegionSel.OMEGA_S)
+                    if not case.stats.converged:
+                        raise _unconverged(case.stats, config.solver.rel_residual_tol)
+                    g = case.report(RegionSel.GLOBAL)
+                    s = case.report(RegionSel.OMEGA_S)
+                    rec.e_eps_global = g.eps_norm
+                    rec.e_sd_global = g.sd_norm
+                    rec.e_eps_omegas = s.eps_norm
+                    rec.e_sd_omegas = s.sd_norm
                 except Exception as exc:
                     rec.failed = True
-                    records.append(rec)
                     failures.append(_failure(N, exc))
-                    continue
-                if not case.stats.converged:
-                    rec.failed = True
+                if case is not None:
                     rec.solver_iters = case.stats.iterations
                     rec.residual = case.stats.residual
-                    records.append(rec)
-                    failures.append(_failure(
-                        N, _unconverged(case.stats, config.solver.rel_residual_tol)))
-                    continue
-                rec.e_eps_global = g.eps_norm
-                rec.e_sd_global = g.sd_norm
-                rec.e_eps_omegas = s.eps_norm
-                rec.e_sd_omegas = s.sd_norm
-                rec.solver_iters = case.stats.iterations
-                rec.residual = case.stats.residual
-                records.append(rec)
-                stats_summary.append(_solver_entry(case))
+                    stats_summary.append(_solver_entry(case))
             _fill_rates(records)
             metadata = {"problem": config.problem, "solver": stats_summary}
             if failures:

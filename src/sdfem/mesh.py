@@ -1,10 +1,11 @@
 """Tensor-product Shishkin meshes on the unit square.
 
 The mesh is piecewise uniform per axis: N/2 coarse cells on [0, 1-lambda]
-and N/2 fine cells on [1-lambda, 1], with lambda = rho*(eps/beta)*ln(N).
-Fine breakpoints are stored as offsets sigma = 1 - x so that layer geometry
-stays exact down to eps = 1e-16, where the absolute coordinates collide in
-double precision.
+and N/2 fine cells on [1-lambda, 1], with lambda = RHO*(eps/beta)*ln(N).
+Breakpoints are also stored as exact offsets sigma = 1 - x so that layer
+geometry stays exact down to eps = 1e-16, where the absolute coordinates
+collide in double precision. The regions are products of per-axis cell
+kinds, and a cell's kind comes from its index, never from a coordinate.
 """
 from __future__ import annotations
 
@@ -19,8 +20,19 @@ class InvalidSpec(ValueError):
     """Axis parameters violate the mesh construction assumptions."""
 
 
-# per-cell region codes stored in ShishkinMesh2D.cell_codes
+# the transition parameter rho of lambda
+RHO = 2.5
+
+# per-axis cell kinds stored in Axis1D.cell_kind: coarse, the last coarse
+# cell (the strip where the modified delta ramps down) and fine
+COARSE, STRIP, FINE = range(3)
+
+# per-cell region codes, and the code of a cell by the kinds of its row (y)
+# and its column (x)
 _S_INNER, _S_STRIP, _X, _Y, _XY = range(5)
+_REGION_CODES = np.array([[_S_INNER, _S_STRIP, _X],
+                          [_S_STRIP, _S_STRIP, _X],
+                          [_Y, _Y, _XY]])
 
 
 class RegionSel(enum.Enum):
@@ -48,7 +60,6 @@ class AxisSpec:
     N: int
     epsilon: float
     beta: float
-    rho: float = 2.5
 
     def __post_init__(self):
         if self.N < 4 or self.N % 2 != 0:
@@ -57,8 +68,6 @@ class AxisSpec:
             raise InvalidSpec(f"epsilon must be positive, got {self.epsilon}")
         if not self.beta > 0.0:
             raise InvalidSpec(f"beta must be positive, got {self.beta}")
-        if not self.rho > 0.0:
-            raise InvalidSpec(f"rho must be positive, got {self.rho}")
         if self.epsilon > 1.0 / self.N:
             raise InvalidSpec(
                 f"epsilon={self.epsilon} violates epsilon <= 1/N with N={self.N}"
@@ -69,45 +78,44 @@ class AxisSpec:
 
     @property
     def transition_width(self) -> float:
-        """lambda = rho*(eps/beta)*ln(N)."""
-        return self.rho * (self.epsilon / self.beta) * math.log(self.N)
+        """lambda = RHO*(eps/beta)*ln(N)."""
+        return RHO * (self.epsilon / self.beta) * math.log(self.N)
 
 
 @dataclass(frozen=True)
 class Axis1D:
-    """Breakpoints of one axis, coarse part absolute, fine part as offsets."""
+    """Breakpoints of one axis, as absolute coordinates and as exact
+    offsets, and the width and kind of every cell."""
 
     spec: AxisSpec
     lam: float
     H: float  # coarse step (1-lam)/(N/2)
-    h: float  # fine step lam/(N/2)
-    coarse_points: np.ndarray  # N/2+1 absolute coords in [0, 1-lam]
-    fine_offsets: np.ndarray  # N/2+1 offsets sigma_i = 1-x_i, i = N/2..N
-
-    # derived per-cell arrays (length N), filled in build_axis
-    cell_width: np.ndarray = field(repr=False, default=None)
-    cell_left: np.ndarray = field(repr=False, default=None)  # absolute, lossy in layer
-    cell_sigma_left: np.ndarray = field(repr=False, default=None)  # exact offsets
-    node_sigma: np.ndarray = field(repr=False, default=None)  # N+1 exact offsets
+    nodes: np.ndarray = field(repr=False)  # N+1 absolute coords, lossy in the layer
+    node_sigma: np.ndarray = field(repr=False)  # N+1 exact offsets sigma_i = 1-x_i
+    cell_width: np.ndarray = field(repr=False)  # N
+    cell_kind: np.ndarray = field(repr=False)  # N of COARSE, STRIP, FINE
 
     @property
     def N(self) -> int:
         return self.spec.N
 
     @property
+    def cell_left(self) -> np.ndarray:
+        return self.nodes[:-1]
+
+    @property
+    def cell_sigma_left(self) -> np.ndarray:
+        return self.node_sigma[:-1]
+
+    @property
     def transition_point(self) -> float:
         """x_t = 1 - lambda."""
-        return self.coarse_points[-1]
+        return self.nodes[self.N // 2]
 
     @property
     def strip_point(self) -> float:
         """x_s = x_t - H, the left edge of the last coarse cell."""
-        return self.coarse_points[-2]
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """All N+1 breakpoints as absolute coordinates (lossy in the layer)."""
-        return np.concatenate([self.coarse_points[:-1], 1.0 - self.fine_offsets])
+        return self.nodes[self.N // 2 - 1]
 
 
 def build_axis(spec: AxisSpec) -> Axis1D:
@@ -116,41 +124,31 @@ def build_axis(spec: AxisSpec) -> Axis1D:
     half = N // 2
     lam = spec.transition_width
     H = (1.0 - lam) / half
-    h = lam / half
 
-    i = np.arange(half + 1)
-    coarse = 2.0 * i * (1.0 - lam) / N
+    # x_i = 2*i*(1-lam)/N for i = 0..N/2
+    coarse = 2.0 * np.arange(half + 1) * (1.0 - lam) / N
     coarse[-1] = 1.0 - lam  # exact transition point in the generating arithmetic
-
     # sigma_i = 2*(N-i)*lam/N for i = N/2..N, strictly decreasing to 0
-    k = np.arange(half, -1, -1)  # N-i
-    fine_offsets = 2.0 * k * lam / N
+    fine_offsets = 2.0 * np.arange(half, -1, -1) * lam / N
     fine_offsets[0] = lam
-
-    cell_width = np.concatenate([np.full(half, H), np.full(half, h)])
-    cell_left = np.concatenate([coarse[:-1], 1.0 - fine_offsets[:-1]])
-    # exact offsets of every node: coarse ones via x_t - x (no near-1 subtraction)
+    # exact offsets of the coarse nodes via x_t - x (no near-1 subtraction)
     coarse_sigma = (coarse[-1] - coarse) + lam
-    node_sigma = np.concatenate([coarse_sigma[:-1], fine_offsets])
-    cell_sigma_left = node_sigma[:-1].copy()
 
     return Axis1D(
         spec=spec,
         lam=lam,
         H=H,
-        h=h,
-        coarse_points=coarse,
-        fine_offsets=fine_offsets,
-        cell_width=cell_width,
-        cell_left=cell_left,
-        cell_sigma_left=cell_sigma_left,
-        node_sigma=node_sigma,
+        nodes=np.concatenate([coarse[:-1], 1.0 - fine_offsets]),
+        node_sigma=np.concatenate([coarse_sigma[:-1], fine_offsets]),
+        cell_width=np.concatenate([np.full(half, H), np.full(half, lam / half)]),
+        cell_kind=np.repeat([COARSE, STRIP, FINE], [half - 1, 1, half]),
     )
 
 
 @dataclass(frozen=True)
 class ShishkinMesh2D:
-    """Tensor-product Shishkin mesh with per-cell region tags.
+    """Tensor-product Shishkin mesh; its regions are products of the axes'
+    cell kinds.
 
     Cells are indexed (i, j) for [x_i, x_{i+1}] x [y_j, y_{j+1}]; per-cell
     arrays have shape (N, N) and hold cell (i, j) at [j, i], so their
@@ -159,7 +157,6 @@ class ShishkinMesh2D:
 
     x_axis: Axis1D
     y_axis: Axis1D
-    cell_codes: np.ndarray = field(repr=False, default=None)  # (N, N) uint8, [j, i]
 
     @property
     def N(self) -> int:
@@ -177,32 +174,14 @@ class ShishkinMesh2D:
         """Boolean (N, N) mask over the cells, cell (i, j) at [j, i]."""
         member = np.zeros(len(RegionSel.GLOBAL.value), dtype=bool)
         member[list(region.value)] = True
-        return member[self.cell_codes]
+        return member[_REGION_CODES][self.y_axis.cell_kind[:, None], self.x_axis.cell_kind]
 
 
 def build_mesh(x_spec: AxisSpec, y_spec: AxisSpec) -> ShishkinMesh2D:
-    """Construct the 2D tensor-product mesh with region classification."""
+    """Construct the 2D tensor-product mesh."""
     if x_spec.N != y_spec.N:
         raise InvalidSpec("both axes must use the same N")
-    ax = build_axis(x_spec)
-    ay = build_axis(y_spec)
-    N = x_spec.N
-    half = N // 2
-
-    i = np.arange(N)
-    j = np.arange(N)
-    I, J = np.meshgrid(i, j)  # shape (N, N), cell (i, j) at [j, i]
-    codes = np.empty((N, N), dtype=np.uint8)
-    coarse_i = I < half
-    coarse_j = J < half
-    codes[coarse_i & coarse_j] = _S_INNER
-    strip = coarse_i & coarse_j & ((I == half - 1) | (J == half - 1))
-    codes[strip] = _S_STRIP
-    codes[~coarse_i & coarse_j] = _X
-    codes[coarse_i & ~coarse_j] = _Y
-    codes[~coarse_i & ~coarse_j] = _XY
-
-    return ShishkinMesh2D(x_axis=ax, y_axis=ay, cell_codes=codes)
+    return ShishkinMesh2D(x_axis=build_axis(x_spec), y_axis=build_axis(y_spec))
 
 
 def dump_mesh(mesh: ShishkinMesh2D) -> str:
@@ -211,7 +190,7 @@ def dump_mesh(mesh: ShishkinMesh2D) -> str:
     for name, axis in (("x", mesh.x_axis), ("y", mesh.y_axis)):
         half = axis.N // 2
         for idx in range(half):
-            lines.append(f"{name} {idx} abs {axis.coarse_points[idx]:.17g}")
+            lines.append(f"{name} {idx} abs {axis.nodes[idx]:.17g}")
         for idx in range(half, axis.N + 1):
-            lines.append(f"{name} {idx} offset {axis.fine_offsets[idx - half]:.17g}")
+            lines.append(f"{name} {idx} offset {axis.node_sigma[idx]:.17g}")
     return "\n".join(lines) + "\n"

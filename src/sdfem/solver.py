@@ -33,6 +33,9 @@ from .discretization import SparseSystem
 PERMC_SPEC = "MMD_AT_PLUS_A"
 # SuperLU panel width (columns) for spilu and splu
 PANEL_SIZE = 4
+# GMRES runs at most ceil(MAX_KRYLOV_STEPS / restart) restart cycles, so the
+# cap is rounded up to whole cycles: up to restart - 1 steps beyond it
+MAX_KRYLOV_STEPS = 10000
 
 
 class Breakdown(RuntimeError):
@@ -58,7 +61,6 @@ class Preconditioner(enum.Enum):
 class SolverConfig:
     method: SolveMethod = SolveMethod.GMRES_RESTARTED
     restart: int = 60
-    max_iterations: int = 10000  # total Krylov steps across restarts
     rel_residual_tol: float = 1e-10
     preconditioner: Preconditioner = Preconditioner.ILUT
 
@@ -191,7 +193,6 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
     M, prec_name, fill, fallback = _make_preconditioner(A, config.preconditioner)
     setup_time = time.perf_counter() - t0
     history: list[float] = []
-    cycles = max(1, math.ceil(config.max_iterations / config.restart))
     u, info = spla.gmres(
         A,
         F,
@@ -199,7 +200,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
         rtol=config.rel_residual_tol,
         atol=0.0,
         restart=config.restart,
-        maxiter=cycles,
+        maxiter=math.ceil(MAX_KRYLOV_STEPS / config.restart),
         M=M,
         callback=lambda r: history.append(float(r)),
         callback_type="pr_norm",

@@ -240,12 +240,12 @@ def nudge_node(m, i, ulps):
     """The mesh with x node i (0 < i < N/2) moved by `ulps` ulps, the two
     adjacent cell widths following it."""
     ax = m.x_axis
-    left, width = ax.cell_left.copy(), ax.cell_width.copy()
-    shift = ulps * np.spacing(left[i])
-    left[i] += shift
+    nodes, width = ax.nodes.copy(), ax.cell_width.copy()
+    shift = ulps * np.spacing(nodes[i])
+    nodes[i] += shift
     width[i - 1] += shift
     width[i] -= shift
-    return dataclasses.replace(m, x_axis=dataclasses.replace(ax, cell_left=left, cell_width=width))
+    return dataclasses.replace(m, x_axis=dataclasses.replace(ax, nodes=nodes, cell_width=width))
 
 
 class TestCellClasses:
@@ -287,15 +287,6 @@ class TestCellClasses:
             for a, b in ((shared.indptr, alone.indptr), (shared.indices, alone.indices),
                          (shared.data, alone.data)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-    def test_omega_s_must_be_rows_times_columns(self):
-        p, m = bench(N=8, eps=1e-4)
-        codes = m.cell_codes.copy()
-        codes[0, -1] = codes[0, 0]  # one layer cell tagged as Omega_s
-        m = dataclasses.replace(m, cell_codes=codes)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        with pytest.raises(ValueError, match="Omega_s"):
-            assemble_system(m, p, d)
 
 
 class TestElementalMatrices:

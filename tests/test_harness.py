@@ -144,6 +144,26 @@ class TestRunExperiment:
         assert err == ["failed: N=8 eps=1e-08 standard: RuntimeError: boom at 49 dofs",
                        "failed: N=16 eps=1e-08 standard: RuntimeError: boom at 225 dofs"]
 
+    def test_unconverged_row_keeps_solver_entry(self, monkeypatch):
+        # the size and cost of a solved but unconverged case stay in the table
+        solve = harness.solve
+
+        def unconverged(system, config):
+            u, stats = solve(system, config)
+            stats.converged = False
+            return u, stats
+
+        monkeypatch.setattr(harness, "solve", unconverged)
+        (art,) = run_experiment(ExperimentConfig(**SMALL))
+        assert all(r.failed and r.solver_iters > 0 and r.residual is not None
+                   for r in art.records)
+        entries = art.metadata["solver"]
+        assert [(e["N"], e["ndofs"], e["iters"]) for e in entries] == [
+            (r.N, (r.N - 1) ** 2, r.solver_iters) for r in art.records]
+        assert [f["N"] for f in art.metadata["failures"]] == [8, 16]
+        assert all("Unconverged: solve did not converge" in f["error"]
+                   for f in art.metadata["failures"])
+
     def test_preconditioner_fallback_reported(self, monkeypatch, tmp_path, capsys):
         def zero_pivot(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")

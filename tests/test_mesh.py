@@ -25,9 +25,10 @@ class TestAxisSpec:
         assert spec.transition_width == pytest.approx(lam, rel=1e-15)
         axis = build_axis(spec)
         assert axis.H == pytest.approx(0.2435017, abs=5e-8)
-        assert axis.h == pytest.approx(0.0064983, abs=5e-8)
+        h = axis.cell_width[-1]
+        assert h == pytest.approx(0.0064983, abs=5e-8)
         assert axis.H == pytest.approx((1.0 - lam) / 4.0, rel=1e-15)
-        assert axis.h == pytest.approx(lam / 4.0, rel=1e-15)
+        assert h == pytest.approx(lam / 4.0, rel=1e-15)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
@@ -45,19 +46,21 @@ class TestAxisSpec:
         # absolute coordinates 1 - sigma_i collide in double precision,
         # the offsets themselves must stay exact and strictly decreasing
         axis = build_axis(AxisSpec(N=8, epsilon=1e-16, beta=2.0))
-        assert axis.h == pytest.approx(axis.fine_offsets[0] / 4.0, rel=1e-15)
-        assert axis.h < 1e-16
-        assert np.all(np.diff(axis.fine_offsets) < 0)
-        assert np.all(axis.fine_offsets[:-1] > 0)  # last offset is x = 1 itself
+        h, fine_offsets = axis.cell_width[-1], axis.node_sigma[4:]
+        assert h == pytest.approx(fine_offsets[0] / 4.0, rel=1e-15)
+        assert h < 1e-16
+        assert np.all(np.diff(fine_offsets) < 0)
+        assert np.all(fine_offsets[:-1] > 0)  # last offset is x = 1 itself
         assert np.all(axis.cell_width > 0)
 
 
 class TestAxis1D:
     def test_breakpoint_structure(self):
         axis = build_axis(AxisSpec(N=8, epsilon=1e-4, beta=2.0))
-        assert axis.coarse_points[0] == 0.0
-        assert axis.transition_point == axis.coarse_points[-1]
-        assert axis.strip_point == axis.coarse_points[-2]
+        coarse_points = axis.nodes[:5]
+        assert coarse_points[0] == 0.0
+        assert axis.transition_point == coarse_points[-1]
+        assert axis.strip_point == coarse_points[-2]
         assert axis.transition_point - axis.strip_point == pytest.approx(axis.H, rel=1e-12)
         # widths partition [0, 1]
         assert float(np.sum(axis.cell_width)) == pytest.approx(1.0, abs=1e-13)
@@ -75,13 +78,13 @@ class TestAxis1D:
             eps = 1.0 / N
         spec = AxisSpec(N=N, epsilon=eps, beta=beta)
         axis = build_axis(spec)
-        assert np.all(np.diff(axis.coarse_points) > 0)
-        assert np.all(np.diff(axis.fine_offsets) < 0)
+        assert np.all(np.diff(axis.nodes[: N // 2 + 1]) > 0)
+        assert np.all(np.diff(axis.node_sigma[N // 2 :]) < 0)
         assert axis.cell_width.shape == (N,)
         assert float(np.sum(axis.cell_width)) == pytest.approx(1.0, abs=1e-12)
         # coarse widths all H, fine widths all h
         assert np.allclose(axis.cell_width[: N // 2], axis.H, rtol=1e-12)
-        assert np.allclose(axis.cell_width[N // 2 :], axis.h, rtol=1e-12)
+        assert np.allclose(axis.cell_width[N // 2 :], axis.lam / (N // 2), rtol=1e-12)
 
 
 class TestMesh2D:
@@ -145,22 +148,24 @@ class TestClassifyPoint:
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-16])
     def test_region_mask_agrees_at_cell_midpoints(self, eps):
-        # layer-cell midpoints in offset form, which stays exact at eps=1e-16
-        mesh = bench_mesh(N=16, eps=eps)
-        ax, ay = mesh.x_axis, mesh.y_axis
-        half = mesh.N // 2
-        masks = {reg: mesh.region_mask(reg) for reg in PARTITION}
-        for j in range(mesh.N):
-            for i in range(mesh.N):
-                if i < half and j < half:
-                    x = ax.cell_left[i] + 0.5 * ax.cell_width[i]
-                    y = ay.cell_left[j] + 0.5 * ay.cell_width[j]
-                    got = classify_point(mesh, x, y)
-                else:
-                    sx = ax.cell_sigma_left[i] - 0.5 * ax.cell_width[i]
-                    sy = ay.cell_sigma_left[j] - 0.5 * ay.cell_width[j]
-                    got = classify_point(mesh, sx, sy, as_offsets=True)
-                assert [reg for reg in PARTITION if masks[reg][j, i]] == [got], (i, j)
+        # layer-cell midpoints in offset form, which stays exact at eps=1e-16;
+        # at N = 4 and 6 the interior of Omega_s is 1x1 and 2x2 cells
+        for N in (4, 6, 16):
+            mesh = bench_mesh(N=N, eps=eps)
+            ax, ay = mesh.x_axis, mesh.y_axis
+            half = N // 2
+            masks = {reg: mesh.region_mask(reg) for reg in PARTITION}
+            for j in range(N):
+                for i in range(N):
+                    if i < half and j < half:
+                        x = ax.cell_left[i] + 0.5 * ax.cell_width[i]
+                        y = ay.cell_left[j] + 0.5 * ay.cell_width[j]
+                        got = classify_point(mesh, x, y)
+                    else:
+                        sx = ax.cell_sigma_left[i] - 0.5 * ax.cell_width[i]
+                        sy = ay.cell_sigma_left[j] - 0.5 * ay.cell_width[j]
+                        got = classify_point(mesh, sx, sy, as_offsets=True)
+                    assert [reg for reg in PARTITION if masks[reg][j, i]] == [got], (N, i, j)
 
     def test_out_of_domain(self):
         mesh = bench_mesh()
