@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
             print(f"failed: N={f['N']} {case}: {f['error']}", file=sys.stderr)
     if args.dump_matrix:
         problem, mesh = build_case(args.problem, config.N_list[0], config.eps_list[0])
-        delta = DeltaField.from_mesh(mesh, config.variants[0], config.c_star)
+        delta = DeltaField(config.variants[0], config.c_star)
         system = assemble_system(mesh, problem, delta)
         coo = system.matrix.tocoo()
         with open(args.dump_matrix, "w") as fh:

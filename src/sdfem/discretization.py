@@ -4,10 +4,12 @@ and assembly of the stabilized system.
 
 The matrix is built from a table of cell classes. The coefficients are
 constants, so a cell's element matrix depends only on its two widths and on
-delta at its quadrature points. On each axis, the cells whose width, Omega_s
-flag and delta ramp at the quadrature abscissae are bit-equal form one
-class: coarse, the last coarse strip and fine on a Shishkin mesh, more on a
-mesh that breaks that pattern. The element matrices are computed once, on
+delta at its quadrature points, and delta is a product of an x and a y
+factor. On each axis, the cells whose width and delta factor at the
+quadrature abscissae are bit-equal form one class: on a Shishkin mesh
+coarse and fine for the standard delta, and for the modified one also the
+last coarse strip, where the factor ramps down; more on a mesh that breaks
+that pattern. The element matrices are computed once, on
 one representative cell per pair of a row class and a column class. An
 interior node's nine-point stencil depends only on the class pairs of the
 columns left and right of it and of the rows below and above it, so it is
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import FINE, ShishkinMesh2D
+from .mesh import ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
 
@@ -46,10 +48,6 @@ STRIP_CELLS = 65536
 
 
 class QuadratureOrderTooLow(ValueError):
-    pass
-
-
-class MeshProblemMismatch(ValueError):
     pass
 
 
@@ -205,12 +203,12 @@ def _stencil_pattern(N: int):
     return keep, indptr, indices
 
 
-def _cell_classes(width: np.ndarray, in_omega_s: np.ndarray, ramp: np.ndarray):
-    """Classes of the N cells along one axis: cells whose width, Omega_s
-    flag and delta ramp at each of the Q abscissae (ramp is (Q, N)) are
-    bit-equal share a class. Returns (first, code): the first cell of each
-    class and the class of every cell."""
-    key = np.ascontiguousarray(np.column_stack((width, in_omega_s, ramp.T)))
+def _cell_classes(width: np.ndarray, factor: np.ndarray):
+    """Classes of the N cells along one axis: cells whose width and delta
+    factor at each of the Q abscissae (factor is (Q, N), or (1, N) where it
+    is constant on a cell) are bit-equal share a class. Returns (first,
+    code): the first cell of each class and the class of every cell."""
+    key = np.ascontiguousarray(np.column_stack((width, factor.T)))
     # each cell's key as one byte string, so that equal means bit-equal
     key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, code = np.unique(key, return_index=True, return_inverse=True)
@@ -241,29 +239,25 @@ def assemble_system(
     of cell classes (module docstring), bit-identical to a cell-by-cell
     assembly; the right-hand side from a loop over row strips.
     """
-    if not delta_field.matches(mesh):
-        raise MeshProblemMismatch("delta field was built on a different mesh")
-
     N = mesh.N
     eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
-    # Omega_s: the cells whose row and column are both coarse
-    row_in_s, col_in_s = mesh.y_axis.cell_kind != FINE, mesh.x_axis.cell_kind != FINE
-    in_omega_s = row_in_s[:, None] & col_in_s
 
     # matrix: the classes, from the abscissae of every column and every row
     # (blocks without rows or columns carry no weights)
     rule = QuadratureRule.gauss(MATRIX_ORDER)
-    xi, eta = delta_field.ramps(cell_points(mesh, rule, rows=slice(0)).X,
-                                cell_points(mesh, rule, cols=slice(0)).Y)
-    rep_cols, col_class = _cell_classes(mesh.x_axis.cell_width, col_in_s, xi.reshape(-1, N))
-    rep_rows, row_class = _cell_classes(mesh.y_axis.cell_width, row_in_s, eta.reshape(-1, N))
+    dx, dy = delta_field.axis_factors(mesh, slice(None), slice(None),
+                                      cell_points(mesh, rule, rows=slice(0)).X,
+                                      cell_points(mesh, rule, cols=slice(0)).Y)
+    rep_cols, col_class = _cell_classes(mesh.x_axis.cell_width, dx.reshape(-1, N))
+    rep_rows, row_class = _cell_classes(mesh.y_axis.cell_width, dy.reshape(-1, N))
 
     # element matrices of one representative cell per (row, column) class
     Aloc = np.zeros((4, 4, rep_rows.size, rep_cols.size))
     p = cell_points(mesh, rule, rep_rows, rep_cols)
     phi = p.phi
     gx, gy = p.basis_gradients()
-    dv = delta_field.evaluate_cells(in_omega_s[np.ix_(rep_rows, rep_cols)], p.X, p.Y)
+    dx, dy = delta_field.axis_factors(mesh, rep_rows, rep_cols, p.X, p.Y)
+    dv = dx * dy
     conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
     resid = [conv[l] + c * phi[l] for l in range(4)]
     for k in range(4):
@@ -308,7 +302,8 @@ def assemble_system(
         p = cell_points(mesh, rule, rows)
         phi = p.phi
         gx, gy = p.basis_gradients()
-        dv = delta_field.evaluate_cells(in_omega_s[rows], p.X, p.Y)
+        dx, dy = delta_field.axis_factors(mesh, rows, slice(None), p.X, p.Y)
+        dv = dx * dy
         fv = problem.f(p.X, p.Y, p.SX, p.SY)
         for k in range(4):
             F_rows[k] += point_sum(p.weight * fv * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k])))

@@ -23,7 +23,7 @@ from .analysis import (
     sd_norm_discrete,
 )
 from .discretization import assemble_system
-from .mesh import AxisSpec, ShishkinMesh2D, build_mesh
+from .mesh import AxisSpec, InvalidSpec, ShishkinMesh2D, build_mesh
 from .problem import PROBLEMS, ProblemSpec
 from .solver import SolveStats, SolverConfig, solve
 from .stabilization import DeltaField, DeltaVariant
@@ -69,28 +69,32 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        """Checks that every case's mesh and delta field can be built, with
+        the checks of AxisSpec and DeltaField themselves."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if not self.N_list:
             raise ConfigError("N list must not be empty")
-        if any(n % 2 or n < 4 for n in self.N_list):
-            raise ConfigError("every N must be even and >= 4")
         if list(self.N_list) != sorted(set(self.N_list)):
             raise ConfigError("N list must be strictly increasing")
-        nmax = max(self.N_list)
         for eps in self.eps_list:
-            if not 0.0 < eps <= 1.0 / nmax:
-                raise ConfigError(f"eps={eps} must satisfy 0 < eps <= 1/max(N)")
-        if self.c_star <= 0.0:
-            raise ConfigError("c_star must be positive")
+            problem = PROBLEMS[self.problem](eps)
+            for N in self.N_list:
+                try:
+                    for beta in (problem.b1, problem.b2):
+                        AxisSpec(N=N, epsilon=eps, beta=beta)
+                except InvalidSpec as exc:
+                    raise ConfigError(f"no mesh for N={N} eps={eps:g}: {exc}") from exc
+        try:
+            for variant in self.variants:
+                DeltaField(variant, self.c_star)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass
 class CaseResult:
     N: int
-    eps: float
-    variant: DeltaVariant
-    c_star: float
     problem: ProblemSpec
     delta: DeltaField
     u_h: DiscreteFunction
@@ -128,15 +132,15 @@ def run_single(
     """Assemble and solve one (N, eps, variant) case; its error norms are
     computed on the first report()."""
     problem, mesh = build_case(problem_name, N, eps)
-    delta = DeltaField.from_mesh(mesh, variant, c_star)
+    delta = DeltaField(variant, c_star)
     start = time.perf_counter()
     system = assemble_system(mesh, problem, delta)
     assemble_time = time.perf_counter() - start
     u, stats = solve(system, solver_config or SolverConfig())
     u_h = DiscreteFunction.from_dof_vector(mesh, u)
-    return CaseResult(N=N, eps=eps, variant=variant, c_star=c_star, problem=problem,
-                      delta=delta, u_h=u_h, stats=stats, ndofs=system.matrix.shape[0],
-                      nnz=system.matrix.nnz, assemble_time=assemble_time)
+    return CaseResult(N=N, problem=problem, delta=delta, u_h=u_h, stats=stats,
+                      ndofs=system.matrix.shape[0], nnz=system.matrix.nnz,
+                      assemble_time=assemble_time)
 
 
 @dataclass
@@ -386,7 +390,7 @@ def min_coercivity_ratio(N: int, variant: DeltaVariant, rng: np.random.Generator
     """min v'Av / ||v||_SD^2 over 100 random vectors from `rng`, on the
     benchmark at eps = 1e-8 with C* = 0.5."""
     problem, mesh = build_case("paper-benchmark", N, 1e-8)
-    delta = DeltaField.from_mesh(mesh, variant, 0.5)
+    delta = DeltaField(variant, 0.5)
     A = assemble_system(mesh, problem, delta).matrix
     worst = math.inf
     for _ in range(100):
@@ -404,7 +408,7 @@ def interpolation_spreads(N_list) -> tuple[float, float]:
     ratios_global, ratios_local = [], []
     for N in N_list:
         problem, mesh = build_case("paper-benchmark", N, 1e-8)
-        delta = DeltaField.from_mesh(mesh, DeltaVariant.MODIFIED, 0.5)
+        delta = DeltaField(DeltaVariant.MODIFIED, 0.5)
         comp = ErrorComputation(interpolant(problem, mesh), delta, problem)
         ratios_global.append(comp.report(RegionSel.GLOBAL).sd_norm / (math.log(N) / N))
         ratios_local.append(comp.report(RegionSel.OMEGA_S).sd_norm / N**-1.5)

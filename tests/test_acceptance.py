@@ -177,7 +177,7 @@ def test_criterion_6_matrix_oracle():
     for eps in (0.1, 1e-8):
         for variant in DeltaVariant:
             problem, mesh = build_case("paper-benchmark", 4, eps)
-            delta = DeltaField.from_mesh(mesh, variant, 0.5)
+            delta = DeltaField(variant, 0.5)
             A = assemble_system(mesh, problem, delta).matrix.toarray()
             O = dense_sdfem_matrix(mesh, problem, variant, 0.5)
             worst = max(worst, float(np.abs(A - O).max() / np.abs(O).max()))
@@ -210,7 +210,7 @@ def test_criterion_10_solver_contract():
     details = []
     for N in (8, 16, 32):
         problem, mesh = build_case("paper-benchmark", N, EPS_REF)
-        delta = DeltaField.from_mesh(mesh, DeltaVariant.STANDARD, 0.5)
+        delta = DeltaField(DeltaVariant.STANDARD, 0.5)
         system = assemble_system(mesh, problem, delta)
         u_it, stats = solve(system)
         u_lu, _ = solve(system, SolverConfig(method=SolveMethod.DIRECT_LU))

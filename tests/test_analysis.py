@@ -101,14 +101,14 @@ class TestInterpolant:
 class TestErrorNorms:
     def test_zero_function(self):
         p, m = bench(N=8)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
+        d = DeltaField(DeltaVariant.STANDARD, 0.5)
         zero = DiscreteFunction(mesh=m, values=np.zeros((9, 9)))
         assert sd_norm_discrete(zero, p, d) == 0.0
 
     def test_bilinear_exact_reproduced(self):
         p = bilinear_problem()
         m = build_mesh(AxisSpec(N=8, epsilon=1e-2, beta=2.0), AxisSpec(N=8, epsilon=1e-2, beta=1.0))
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         ui = interpolant(p, m)
         rep = ErrorComputation(ui, d, p).report()
         assert rep.eps_norm <= 1e-13
@@ -133,8 +133,8 @@ class TestErrorNorms:
         # same discrete function, the ramped parameter is pointwise smaller
         case = case_runner(16, 1e-8)
         p, m = bench(N=16)
-        ds = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        dm = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        ds = DeltaField(DeltaVariant.STANDARD, 0.5)
+        dm = DeltaField(DeltaVariant.MODIFIED, 0.5)
         rs = ErrorComputation(case.u_h, ds, p).report(RegionSel.OMEGA_S)
         rm = ErrorComputation(case.u_h, dm, p).report(RegionSel.OMEGA_S)
         assert rm.components[2] <= rs.components[2]
@@ -142,7 +142,7 @@ class TestErrorNorms:
     def test_low_quadrature_rejected(self, case_runner):
         case = case_runner(8, 1e-8)
         p, m = bench(N=8)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
+        d = DeltaField(DeltaVariant.STANDARD, 0.5)
         with pytest.raises(ValueError):
             ErrorComputation(case.u_h, d, p, quad_order=1)
 

@@ -17,7 +17,6 @@ from sdfem.analysis import (
 )
 from sdfem.discretization import (
     LOCAL_NODES,
-    MeshProblemMismatch,
     QuadratureOrderTooLow,
     QuadratureRule,
     assemble_system,
@@ -88,8 +87,8 @@ class TestShapeFunctions:
 def galerkin_and_sd(m, p, variant):
     """Assembled (Galerkin, stabilized) matrix pair; their difference is the
     stabilization term alone."""
-    gal = assemble_system(m, p, DeltaField.from_mesh(m, variant, 1e-300)).matrix.toarray()
-    sd = assemble_system(m, p, DeltaField.from_mesh(m, variant, 0.5)).matrix.toarray()
+    gal = assemble_system(m, p, DeltaField(variant, 1e-300)).matrix.toarray()
+    sd = assemble_system(m, p, DeltaField(variant, 0.5)).matrix.toarray()
     return gal, sd
 
 
@@ -135,7 +134,7 @@ class TestRowStrips:
         # for 25 points (which leaves a remainder) and the whole mesh give
         # the same bytes
         p, m = bench(N=N, eps=eps)
-        d = DeltaField.from_mesh(m, variant, 0.5)
+        d = DeltaField(variant, 0.5)
         rng = np.random.default_rng(N)
         values = interpolant(p, m).values.copy()
         values[1:-1, 1:-1] += 1e-3 * rng.standard_normal((N - 1, N - 1))
@@ -188,8 +187,8 @@ class TestPointBatching:
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
         # every field is evaluated once per row strip, never once per point;
-        # the matrix evaluates delta once, on its block of class
-        # representatives
+        # the matrix evaluates delta's factors twice, on every row and column
+        # for the class keys and on its block of class representatives
         calls = Counter()
 
         def counted(name, fn):
@@ -202,9 +201,9 @@ class TestPointBatching:
         exact = ExactSolution(value=counted("value", p.exact.value),
                               gradient=counted("gradient", p.exact.gradient))
         p = dataclasses.replace(p, f=counted("f", p.f), exact=exact)
-        monkeypatch.setattr(DeltaField, "evaluate_cells",
-                            counted("delta", DeltaField.evaluate_cells))
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        monkeypatch.setattr(DeltaField, "axis_factors",
+                            counted("delta", DeltaField.axis_factors))
+        d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         u_h = interpolant(p, m)  # one nodal call of exact.value
         matrix_strips = len(discretization.row_strips(N, 9))
         strips = len(discretization.row_strips(N, 25))
@@ -212,7 +211,7 @@ class TestPointBatching:
 
         calls.clear()
         assemble_system(m, p, d)
-        assert calls == {"f": strips, "delta": 1 + strips}
+        assert calls == {"f": strips, "delta": 2 + strips}
 
         calls.clear()
         ErrorComputation(u_h, d, p)
@@ -252,12 +251,13 @@ class TestCellClasses:
     @pytest.mark.parametrize("N", [4, 8, 64])
     @pytest.mark.parametrize("eps", [1e-4, 1e-16])
     @pytest.mark.parametrize("variant", list(DeltaVariant))
-    def test_shishkin_axes_have_three_classes(self, monkeypatch, N, eps, variant):
-        # coarse, the last coarse strip and fine
+    def test_shishkin_axis_class_counts(self, monkeypatch, N, eps, variant):
+        # coarse and fine; the modified delta splits off the last coarse
+        # strip, where its factor ramps down
         p, m = bench(N=N, eps=eps)
-        d = DeltaField.from_mesh(m, variant, 0.5)
+        d = DeltaField(variant, 0.5)
         _, counts = assemble_counting_classes(monkeypatch, m, p, d)
-        assert counts == [3, 3]
+        assert counts == ([3, 3] if variant is DeltaVariant.MODIFIED else [2, 2])
 
     @pytest.mark.parametrize("variant", list(DeltaVariant))
     def test_broken_pattern_gets_more_classes(self, monkeypatch, variant):
@@ -265,9 +265,9 @@ class TestCellClasses:
         p, m = bench(N=8, eps=1e-4)
         m = nudge_node(m, 1, 4)
         assert len(set(m.x_axis.cell_width[:3])) == 3
-        d = DeltaField.from_mesh(m, variant, 0.5)
+        d = DeltaField(variant, 0.5)
         s, counts = assemble_counting_classes(monkeypatch, m, p, d)
-        assert counts == [5, 3]
+        assert counts == ([5, 3] if variant is DeltaVariant.MODIFIED else [4, 2])
         O = dense_sdfem_matrix(m, p, variant, 0.5)
         assert np.abs(s.matrix.toarray() - O).max() <= 1e-12 * np.abs(O).max()
 
@@ -277,7 +277,7 @@ class TestCellClasses:
     def test_same_bytes_as_one_class_per_cell(self, monkeypatch, N, eps, variant):
         # a class per cell is the cell-by-cell assembly
         p, m = bench(N=N, eps=eps)
-        d = DeltaField.from_mesh(m, variant, 0.5)
+        d = DeltaField(variant, 0.5)
         for mesh in (m, nudge_node(m, N // 4, 2)):
             shared = assemble_system(mesh, p, d).matrix
             monkeypatch.setattr(discretization, "_cell_classes",
@@ -324,8 +324,8 @@ class TestElementalMatrices:
         inner = m.region_mask(RegionSel.OMEGA_S_EPS)
         rows = sorted(rows_touching(m, inner) - rows_touching(m, ~inner))
         assert rows
-        ss = assemble_system(m, p, DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5))
-        sm = assemble_system(m, p, DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5))
+        ss = assemble_system(m, p, DeltaField(DeltaVariant.STANDARD, 0.5))
+        sm = assemble_system(m, p, DeltaField(DeltaVariant.MODIFIED, 0.5))
         assert np.array_equal(ss.matrix.toarray()[rows], sm.matrix.toarray()[rows])
         assert np.array_equal(ss.rhs[rows], sm.rhs[rows])
 
@@ -341,7 +341,7 @@ class TestAssembly:
     def test_galerkin_limit(self):
         # a vanishing stabilization field must reproduce the Galerkin matrix
         p, m = bench(N=4, eps=0.1)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 1e-300)
+        d = DeltaField(DeltaVariant.STANDARD, 1e-300)
         tiny = assemble_system(m, p, d).matrix.toarray()
         oracle = dense_sdfem_matrix(m, p, DeltaVariant.STANDARD, 1e-300)
         assert np.allclose(tiny, oracle, rtol=1e-12, atol=1e-300)
@@ -351,7 +351,7 @@ class TestAssembly:
     def test_matrix_matches_dense_bruteforce(self, eps, variant):
         for N in (4, 8) if eps < 0.1 else (4,):  # eps = 0.1 admits no mesh at N = 8
             p, m = bench(N=N, eps=eps)
-            d = DeltaField.from_mesh(m, variant, 0.5)
+            d = DeltaField(variant, 0.5)
             A = assemble_system(m, p, d).matrix
             assert A.has_canonical_format
             assert A.indices.dtype == A.indptr.dtype == np.int32
@@ -365,7 +365,7 @@ class TestAssembly:
     def test_rhs_matches_dense_bruteforce(self, eps, variant):
         for N in (4, 8) if eps < 0.1 else (4,):  # eps = 0.1 admits no mesh at N = 8
             p, m = bench(N=N, eps=eps)
-            d = DeltaField.from_mesh(m, variant, 0.5)
+            d = DeltaField(variant, 0.5)
             F = assemble_system(m, p, d).rhs
             O = dense_sdfem_rhs(m, p, variant, 0.5)
             assert np.abs(F - O).max() <= 1e-12 * np.abs(O).max(), N
@@ -375,7 +375,7 @@ class TestAssembly:
         # into CSR, so assembly holds neither per-cell element blocks nor
         # COO triplets of every (k, l) block
         p, m = bench(N=128, eps=1e-8)
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         tracemalloc.start()
         try:
             s = assemble_system(m, p, d)
@@ -386,16 +386,18 @@ class TestAssembly:
         returned = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + s.rhs.nbytes
         assert peak <= 7 * returned, peak / returned
 
-    def test_mesh_mismatch_rejected(self):
-        p, m8 = bench(N=8, eps=1e-4)
-        _, m4 = bench(N=4, eps=1e-4)
-        d8 = DeltaField.from_mesh(m8, DeltaVariant.STANDARD, 0.5)
-        with pytest.raises(MeshProblemMismatch):
-            assemble_system(m4, p, d8)
+    def test_one_field_on_two_meshes(self):
+        # the field reads N, x_t, y_t and H from the mesh it is used on
+        d = DeltaField(DeltaVariant.MODIFIED, 0.5)
+        for N in (4, 8):
+            p, m = bench(N=N, eps=1e-4)
+            A = assemble_system(m, p, d).matrix.toarray()
+            O = dense_sdfem_matrix(m, p, d.variant, d.c_star)
+            assert np.abs(A - O).max() <= 1e-12 * np.abs(O).max(), N
 
     def test_reproducible_assembly(self):
         p, m = bench(N=8, eps=1e-8)
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         s1 = assemble_system(m, p, d)
         s2 = assemble_system(m, p, d)
         assert (s1.matrix != s2.matrix).nnz == 0
@@ -403,5 +405,5 @@ class TestAssembly:
 
     def test_dimension(self):
         p, m = bench(N=8, eps=1e-8)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
+        d = DeltaField(DeltaVariant.STANDARD, 0.5)
         assert assemble_system(m, p, d).matrix.shape == (49, 49)

@@ -50,6 +50,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(c_star=-1.0)
 
+    def test_rejects_unbuildable_mesh(self):
+        # eps <= 1/N holds, but lambda >= 1/2 on the y axis (beta = 1) at N = 8
+        with pytest.raises(ConfigError):
+            ExperimentConfig(N_list=(4, 8), eps_list=(0.1,))
+
 
 @pytest.fixture(scope="module")
 def artifact():
@@ -360,6 +365,12 @@ class TestCli:
     def test_config_error_exit_code(self):
         assert main(["run", "--N", "7", "--eps", "1e-8"]) == 2
         assert main(["run", "--N", "8", "--eps", "0.9"]) == 2
+
+    def test_unbuildable_mesh_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["run", "--N", "4,8", "--eps", "0.1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "N=8" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "t.csv"

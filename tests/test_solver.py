@@ -23,7 +23,7 @@ def system_of(A, F):
 def bench_system(N, eps=1e-8, variant=DeltaVariant.STANDARD):
     p = make_benchmark(eps)
     m = build_mesh(AxisSpec(N=N, epsilon=eps, beta=2.0), AxisSpec(N=N, epsilon=eps, beta=1.0))
-    d = DeltaField.from_mesh(m, variant, 0.5)
+    d = DeltaField(variant, 0.5)
     return assemble_system(m, p, d)
 
 

@@ -16,10 +16,19 @@ def bench(N=8, eps=1e-8):
     return p, m
 
 
-def delta_on_omega_s(d, x, y):
-    """evaluate_cells at points of cells inside Omega_s."""
+def delta_on_omega_s(d, m, x, y):
+    """delta at the points (x, y) taken as points of cell (0, 0), which
+    lies inside Omega_s."""
     x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    return d.evaluate_cells(np.ones(x.shape, dtype=bool), x, y)
+    dx, dy = d.axis_factors(m, [0], [0], x, y)
+    return np.broadcast_to(dx * dy, (1, x.size))[0]
+
+
+def delta_on_cells(d, m, rule):
+    """delta at every point of `rule` in every cell, (Qa, Qb, N, N)."""
+    p = cell_points(m, rule)
+    dx, dy = d.axis_factors(m, slice(None), slice(None), p.X, p.Y)
+    return np.broadcast_to(dx * dy, p.weight.shape)
 
 
 class TestRamps:
@@ -28,38 +37,38 @@ class TestRamps:
 
     def test_endpoints(self):
         _, m = bench()
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         base = 0.5 / m.N
-        assert delta_on_omega_s(d, m.x_axis.strip_point, 0.1)[0] == base
-        assert delta_on_omega_s(d, m.x_t, 0.1)[0] == pytest.approx(0.0, abs=1e-12)
-        assert delta_on_omega_s(d, 0.1, m.y_axis.strip_point)[0] == base
-        assert delta_on_omega_s(d, 0.1, m.y_t)[0] == pytest.approx(0.0, abs=1e-12)
+        assert delta_on_omega_s(d, m, m.x_axis.strip_point, 0.1)[0] == base
+        assert delta_on_omega_s(d, m, m.x_t, 0.1)[0] == pytest.approx(0.0, abs=1e-12)
+        assert delta_on_omega_s(d, m, 0.1, m.y_axis.strip_point)[0] == base
+        assert delta_on_omega_s(d, m, 0.1, m.y_t)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint_linearity(self):
         _, m = bench()
-        d = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         base = 0.5 / m.N
         x_mid = m.x_axis.strip_point + m.x_axis.H / 2
-        assert delta_on_omega_s(d, x_mid, 0.1)[0] == pytest.approx(
+        assert delta_on_omega_s(d, m, x_mid, 0.1)[0] == pytest.approx(
             0.5 * base, rel=1e-12)
         y_mid = m.y_axis.strip_point + m.y_axis.H / 2
-        assert delta_on_omega_s(d, 0.1, y_mid)[0] == pytest.approx(
+        assert delta_on_omega_s(d, m, 0.1, y_mid)[0] == pytest.approx(
             0.5 * base, rel=1e-12)
 
 
 class TestDelta:
     def test_standard_value_in_omega_s(self):
         _, m = bench(N=8)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        assert delta_on_omega_s(d, 0.5, 0.5)[0] == 0.0625  # c_star / N exactly
+        d = DeltaField(DeltaVariant.STANDARD, 0.5)
+        assert delta_on_omega_s(d, m, 0.5, 0.5)[0] == 0.0625  # c_star / N exactly
 
     def test_modified_equals_standard_inside_inner_region(self):
         _, m = bench(N=8)
-        ds = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        dm = DeltaField.from_mesh(m, DeltaVariant.MODIFIED, 0.5)
+        ds = DeltaField(DeltaVariant.STANDARD, 0.5)
+        dm = DeltaField(DeltaVariant.MODIFIED, 0.5)
         x = np.array([0.1, 0.3, m.x_axis.strip_point])
         y = np.array([0.1, 0.3, m.y_axis.strip_point])
-        assert np.array_equal(delta_on_omega_s(dm, x, y), delta_on_omega_s(ds, x, y))
+        assert np.array_equal(delta_on_omega_s(dm, m, x, y), delta_on_omega_s(ds, m, x, y))
 
     def test_vanishes_in_layers(self):
         # at eps = 1e-16 the layer abscissae round onto x_t = 1 - lambda or
@@ -70,9 +79,7 @@ class TestDelta:
             I, J = np.meshgrid(np.arange(m.N), np.arange(m.N))
             assert np.array_equal(in_omega_s, (I < m.N // 2) & (J < m.N // 2))
             for variant in DeltaVariant:
-                d = DeltaField.from_mesh(m, variant, 0.5)
-                p = cell_points(m, QuadratureRule.gauss(3))
-                dvs = np.broadcast_to(d.evaluate_cells(in_omega_s, p.X, p.Y), p.weight.shape)
+                dvs = delta_on_cells(DeltaField(variant, 0.5), m, QuadratureRule.gauss(3))
                 for ia in range(3):
                     for ib in range(3):
                         dv = dvs[ia, ib]
@@ -80,18 +87,19 @@ class TestDelta:
                         assert dv[in_omega_s].all()
 
     def test_invalid_cstar(self):
-        _, m = bench()
         with pytest.raises(ValueError):
-            DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.0)
+            DeltaField(DeltaVariant.STANDARD, 0.0)
 
 
 class TestVectorizedEvaluation:
     def test_cellwise_mask_controls_support(self):
+        # the same abscissa taken as a point of a coarse and of a fine column
         _, m = bench(N=8)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
+        d = DeltaField(DeltaVariant.STANDARD, 0.5)
         x = np.array([0.5, 0.5])
-        y = np.array([0.5, 0.5])
-        vals = d.evaluate_cells(np.array([True, False]), x, y)
+        y = np.array([[0.5]])
+        dx, dy = d.axis_factors(m, [0], [0, m.N - 1], x, y)
+        vals = (dx * dy).ravel()
         assert vals[0] == 0.0625
         assert vals[1] == 0.0
 
@@ -100,19 +108,19 @@ class TestVectorizedEvaluation:
         # quadrature abscissae of the first layer cell round onto x_t; the
         # cell-driven form must still return zero there
         _, m = bench(N=64, eps=1e-16)
-        d = DeltaField.from_mesh(m, DeltaVariant.STANDARD, 0.5)
-        x = np.array([m.x_t])  # rounded abscissa of a layer-cell point
-        y = np.array([0.5])
-        assert d.evaluate_cells(np.array([False]), x, y)[0] == 0.0
+        d = DeltaField(DeltaVariant.STANDARD, 0.5)
+        layer = [m.N // 2]
+        p = cell_points(m, QuadratureRule.gauss(3), rows=[0], cols=layer)
+        assert np.all(p.X == m.x_t)  # rounded abscissae of the layer-cell points
+        dx, dy = d.axis_factors(m, [0], layer, p.X, p.Y)
+        assert not (dx * dy).any()
 
     def test_matches_pointwise_on_omega_s(self):
         _, m = bench(N=8, eps=1e-4)
         N = m.N
         for variant in DeltaVariant:
-            d = DeltaField.from_mesh(m, variant, 0.7)
             p = cell_points(m, QuadratureRule.gauss(3))
-            vecs = np.broadcast_to(d.evaluate_cells(m.region_mask(RegionSel.OMEGA_S), p.X, p.Y),
-                                   p.weight.shape)
+            vecs = delta_on_cells(DeltaField(variant, 0.7), m, QuadratureRule.gauss(3))
             for ia in range(3):
                 for ib in range(3):
                     vec = vecs[ia, ib]
@@ -135,10 +143,3 @@ class TestAdmissibleCstar:
         p, m = bench(N=8)
         assert admissible_cstar(p, m) == 4.0
         assert admissible_cstar(dataclasses.replace(p, c=2.0), m) == 2.0
-
-    def test_mismatched_mesh_rejected(self):
-        _, m8 = bench(N=8)
-        _, m16 = bench(N=16)
-        d = DeltaField.from_mesh(m8, DeltaVariant.STANDARD, 0.5)
-        assert d.matches(m8)
-        assert not d.matches(m16)

@@ -9,13 +9,13 @@ The calls are:
 - every CLI call of the benchmark's workloads (`perfbench/workloads.calls`,
   seed 0, full sizes), whose JSON outputs are hashed with the wall times
   `setup_time`, `assemble_time` and `solve_time` dropped;
-- a CSV run, `--dump-matrix` at N=8 and at N=64 with eps=1e-16 and the
-  modified delta, `sdfem mesh` and `sdfem verify` (by its stdout), all
-  hashed as written.
+- a CSV run, `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for
+  each delta, `sdfem mesh` and `sdfem verify` (by its stdout), all hashed
+  as written.
 
 Each line reads `<sha256>  <call> -> <output> (exit <code>)`. Two checkouts
 give the same outputs when their listings are identical. The whole set takes
-about 15 s and 410 MiB of peak RSS on a 2-core host.
+about 20 s and 410 MiB of peak RSS on a 2-core host.
 """
 import os
 
@@ -45,6 +45,8 @@ EXTRA_CALLS = (
      "--out", "DIR/table.csv"),
     ("run", "--N", "8", "--eps", "1e-8", "--dump-matrix", "DIR/matrix.txt",
      "--out", "DIR/table.csv"),
+    ("run", "--N", "64", "--eps", "1e-16", "--delta", "standard",
+     "--dump-matrix", "DIR/matrix.txt", "--out", "DIR/table.csv"),
     ("run", "--N", "64", "--eps", "1e-16", "--delta", "modified",
      "--dump-matrix", "DIR/matrix.txt", "--out", "DIR/table.csv"),
     ("mesh", "--N", "16", "--eps", "1e-16", "--out", "DIR/mesh.txt"),
