@@ -59,6 +59,20 @@ def _add_solver_flags(p):
     p.add_argument("--precond", choices=[m.value for m in Preconditioner], default="ilut")
 
 
+def _table_paths(config: ExperimentConfig, out: str) -> list[str]:
+    """Each table's path in run_experiment's (eps, variant) order: `out` for
+    a lone table, else `out` named per case. ConfigError when two coincide."""
+    cases = [(eps, variant) for eps in config.eps_list for variant in config.variants]
+    base, ext = os.path.splitext(out)
+    paths = {}
+    for eps, variant in cases:
+        path = f"{base}_eps{eps:.0e}_{variant.value}{ext}" if len(cases) > 1 else out
+        if path in paths:
+            raise ConfigError(f"eps={paths[path]:g} and eps={eps:g} would both write {path}")
+        paths[path] = eps
+    return list(paths)
+
+
 def cmd_run(args) -> int:
     config = ExperimentConfig(
         problem=args.problem,
@@ -68,13 +82,9 @@ def cmd_run(args) -> int:
         c_star=args.cstar,
         solver=_solver_config(args),
     )
+    paths = _table_paths(config, args.out)
     artifacts = run_experiment(config)
-    multi = len(artifacts) > 1
-    for art in artifacts:
-        path = args.out
-        if multi:
-            base, ext = os.path.splitext(args.out)
-            path = f"{base}_eps{art.eps:.0e}_{art.variant.value}{ext}"
+    for art, path in zip(artifacts, paths):
         emit_table(art, args.format, path)
         print(f"wrote {path}")
         case = f"eps={art.eps:.0e} {art.variant.value}"
@@ -87,7 +97,7 @@ def cmd_run(args) -> int:
         problem, mesh = build_case(args.problem, config.N_list[0], config.eps_list[0])
         delta = DeltaField(config.variants[0], config.c_star)
         system = assemble_system(mesh, problem, delta)
-        coo = system.matrix.tocoo()
+        coo = system.matrix.tocsr().tocoo()  # row-major lines
         with open(args.dump_matrix, "w") as fh:
             for r, c, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{r} {c} {v:.17g}\n")

@@ -13,7 +13,7 @@ that pattern. The element matrices are computed once, on
 one representative cell per pair of a row class and a column class. An
 interior node's nine-point stencil depends only on the class pairs of the
 columns left and right of it and of the rows below and above it, so it is
-summed once per pair that occurs, and CSR data is one gather from those
+summed once per pair that occurs, and CSC data is one gather from those
 stencils. Every entry goes through the floating-point operations, in the
 order, of a cell-by-cell assembly, so the matrix is bit-identical to one.
 
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mesh import ShishkinMesh2D
 from .problem import ProblemSpec
@@ -74,7 +75,7 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class SparseSystem:
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
 
 
@@ -183,12 +184,12 @@ def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
 
 
 def _stencil_pattern(N: int):
-    """CSR structure of the nine-point stencil on the (N-1)^2 interior
-    dofs, dof (j-1)(N-1) + (i-1) for node (i, j).
+    """Structure of the nine-point stencil on the (N-1)^2 interior dofs, dof
+    (j-1)(N-1) + (i-1) for node (i, j); it is symmetric, so CSC and CSR alike.
 
     Returns (keep, indptr, indices): keep[j-1, i-1, oj+1, oi+1] tells
     whether node (i, j) couples to its neighbour (i+oi, j+oj), i.e. whether
-    that neighbour is interior. Row-major order of keep is sorted column
+    that neighbour is interior. Row-major order of keep is sorted index
     order.
     """
     n = N - 1
@@ -289,10 +290,13 @@ def assemble_system(
             else:
                 stencil[offset] = blocks[l]
                 filled.add(offset)
+    # column (i, j) holds row (i+oi, j+oj)'s stencil entry at (-oi, -oj)
+    rows = sliding_window_view(np.pad(row_pair, 1), 3)[:, None, :, None]
+    cols = sliding_window_view(np.pad(col_pair, 1), 3)[None, :, None, :]
     keep, indptr, indices = _stencil_pattern(N)
-    data = stencil[row_pair[:, None], col_pair][keep]
+    data = stencil[rows, cols, 2 - np.arange(3)[:, None], 2 - np.arange(3)][keep]
     n = N - 1
-    A = sp.csr_matrix((data, indices, indptr), shape=(n * n, n * n))
+    A = sp.csc_matrix((data, indices, indptr), shape=(n * n, n * n))
 
     # right-hand side
     Floc = np.zeros((4, N, N))

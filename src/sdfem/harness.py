@@ -52,8 +52,8 @@ def _solver_entry(case: CaseResult) -> dict:
     stats = case.stats
     entry = {"N": case.N, "iters": stats.iterations, "method": stats.method,
              "setup_time": stats.setup_time, "fill": stats.fill,
-             "ndofs": case.ndofs, "nnz": case.nnz,
-             "assemble_time": case.assemble_time, "solve_time": stats.wall_time}
+             "ndofs": case.ndofs, "nnz": case.nnz, "assemble_time": case.assemble_time,
+             "solve_time": stats.wall_time, "error_time": case.error_time}
     if stats.fallback:
         entry["fallback"] = stats.fallback
     return entry
@@ -102,11 +102,15 @@ class CaseResult:
     ndofs: int
     nnz: int
     assemble_time: float  # wall time of assemble_system
+    error_time: float | None = None  # wall time of comp; None until it is computed
 
     @functools.cached_property
     def comp(self) -> ErrorComputation:
         """The error norms of u_h, computed on first use."""
-        return ErrorComputation(self.u_h, self.delta, self.problem)
+        start = time.perf_counter()
+        comp = ErrorComputation(self.u_h, self.delta, self.problem)
+        self.error_time = time.perf_counter() - start
+        return comp
 
     def report(self, region: RegionSel):
         return self.comp.report(region)

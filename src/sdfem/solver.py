@@ -11,7 +11,8 @@ iterations), but it changes the GMRES iterates, so ILUT keeps minimum
 degree for now. Whether it shortens the ILUT setup is unresolved: single
 runs at N=512 read 1.38 and 1.28 s with it against 1.08 and 1.44 s
 without, and settling it takes at least 10 alternating pairs. Both
-factorizations use a SuperLU panel of 4 columns.
+factorizations use a SuperLU panel of 4 columns and read the matrix in the
+CSC format it is assembled in: ILUT as it is, direct LU permuted once.
 
 The reported residual is always recomputed from a fresh matrix-vector
 product, never taken from the Krylov estimate.
@@ -133,7 +134,7 @@ def nested_dissection(m: int) -> np.ndarray:
     return perm[perm < m]
 
 
-def _make_preconditioner(A: sp.csr_matrix, kind: Preconditioner):
+def _make_preconditioner(A: sp.csc_matrix, kind: Preconditioner):
     """Returns (operator or None, name of the preconditioner used, fill,
     why the requested one was replaced or None)."""
     if kind is Preconditioner.NONE:
@@ -141,7 +142,7 @@ def _make_preconditioner(A: sp.csr_matrix, kind: Preconditioner):
     failed = []
     if kind is Preconditioner.ILUT:
         try:
-            ilu = spla.spilu(A.tocsc(), drop_tol=1e-4, fill_factor=10,
+            ilu = spla.spilu(A, drop_tol=1e-4, fill_factor=10,
                              permc_spec=PERMC_SPEC, panel_size=PANEL_SIZE)
             return spla.LinearOperator(A.shape, ilu.solve), "ilut", _fill(ilu, A), None
         except RuntimeError as exc:
@@ -171,9 +172,10 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
 
     if config.method is SolveMethod.DIRECT_LU:
         perm = nested_dissection(A.shape[0])
+        B = A[perm][:, perm]
+        B.sort_indices()
         try:
-            lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                           panel_size=PANEL_SIZE)
+            lu = spla.splu(B, permc_spec="NATURAL", panel_size=PANEL_SIZE)
         except RuntimeError as exc:
             raise SingularFactor(f"LU factorization failed: {exc}") from exc
         setup_time = time.perf_counter() - t0

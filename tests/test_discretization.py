@@ -353,6 +353,7 @@ class TestAssembly:
             p, m = bench(N=N, eps=eps)
             d = DeltaField(variant, 0.5)
             A = assemble_system(m, p, d).matrix
+            assert A.format == "csc"
             assert A.has_canonical_format
             assert A.indices.dtype == A.indptr.dtype == np.int32
             assert A.nnz == (3 * N - 5) ** 2
@@ -372,7 +373,7 @@ class TestAssembly:
 
     def test_memory_budget(self):
         # the stencils are summed once per class pair and gathered straight
-        # into CSR, so assembly holds neither per-cell element blocks nor
+        # into CSC, so assembly holds neither per-cell element blocks nor
         # COO triplets of every (k, l) block
         p, m = bench(N=128, eps=1e-8)
         d = DeltaField(DeltaVariant.MODIFIED, 0.5)

@@ -129,6 +129,9 @@ class TestRunExperiment:
             N = e["N"]
             assert (e["ndofs"], e["nnz"]) == ((N - 1) ** 2, (3 * N - 5) ** 2)
             assert e["assemble_time"] > 0.0 and e["solve_time"] > 0.0
+        # the norms are timed where they are computed; a grid computes none
+        assert all(e["error_time"] > 0.0 for e in entries[:2])
+        assert entries[2]["error_time"] is None
 
     def test_failed_row_keeps_reason(self, monkeypatch, tmp_path, capsys):
         def boom(system, config):
@@ -267,7 +270,7 @@ class TestCli:
                            # the one figure stats does not carry
                            "assemble_time": json.loads(out.read_text())["solver"][
                                "assemble_time"],
-                           "solve_time": stats.wall_time},
+                           "solve_time": stats.wall_time, "error_time": None},
                 "points": np.column_stack(
                     [grid.x, grid.y, grid.sigma_x, grid.sigma_y, grid.abs_error]
                 ).tolist(),
@@ -371,6 +374,14 @@ class TestCli:
         assert main(["run", "--N", "4,8", "--eps", "0.1", "--out", str(out)]) == 2
         assert not out.exists()
         assert "N=8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e-8,1.4e-8", "1e-8,1e-8"])
+    def test_colliding_table_paths_exit_code(self, eps, tmp_path, capsys):
+        # both eps spell 1e-08 in the table name; nothing is run or written
+        out = tmp_path / "t.csv"
+        assert main(["run", "--N", "8,16", "--eps", eps, "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "eps=1e-08 and eps=" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "t.csv"

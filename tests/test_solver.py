@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sdfem import solver
 from sdfem.discretization import SparseSystem, assemble_system
 from sdfem.mesh import AxisSpec, build_mesh
 from sdfem.problem import make_benchmark
@@ -17,7 +18,7 @@ from sdfem.stabilization import DeltaField, DeltaVariant
 
 
 def system_of(A, F):
-    return SparseSystem(matrix=sp.csr_matrix(A), rhs=np.asarray(F, dtype=float))
+    return SparseSystem(matrix=sp.csc_matrix(A), rhs=np.asarray(F, dtype=float))
 
 
 def bench_system(N, eps=1e-8, variant=DeltaVariant.STANDARD):
@@ -73,9 +74,46 @@ class TestSmallSystems:
         assert stats.fallback == "jacobi failed: zero on the diagonal; used none"
 
     def test_shape_validation(self):
-        bad = SparseSystem(matrix=sp.csr_matrix(np.ones((2, 3))), rhs=np.ones(2))
+        bad = SparseSystem(matrix=sp.csc_matrix(np.ones((2, 3))), rhs=np.ones(2))
         with pytest.raises(ValueError):
             solve(bad)
+
+
+class TestFactorInput:
+    """Both factorizations read the assembled CSC matrix without a
+    conversion."""
+
+    def test_ilut_factors_assembled_arrays(self, monkeypatch):
+        system = bench_system(8)
+        seen = []
+
+        def spilu(A, **kwargs):
+            seen.append(A)
+            return spla_spilu(A, **kwargs)
+
+        spla_spilu = solver.spla.spilu
+        monkeypatch.setattr(solver.spla, "spilu", spilu)
+        _, stats = solve(system)
+        assert stats.method == "gmres(60)+ilut"
+        (A,) = seen
+        assert all(np.shares_memory(getattr(A, name), getattr(system.matrix, name))
+                   for name in ("data", "indices", "indptr"))
+
+    def test_direct_factors_permuted_matrix(self, monkeypatch):
+        system = bench_system(8)
+        seen = []
+
+        def splu(A, **kwargs):
+            seen.append(A)
+            return spla_splu(A, **kwargs)
+
+        spla_splu = solver.spla.splu
+        monkeypatch.setattr(solver.spla, "splu", splu)
+        solve(system, SolverConfig(method=SolveMethod.DIRECT_LU))
+        (B,) = seen
+        perm = nested_dissection(system.matrix.shape[0])
+        assert B.format == "csc" and B.has_sorted_indices
+        assert np.array_equal(B.toarray(), system.matrix.toarray()[perm][:, perm])
 
 
 class TestNestedDissection:

@@ -8,7 +8,7 @@ The calls are:
 
 - every CLI call of the benchmark's workloads (`perfbench/workloads.calls`,
   seed 0, full sizes), whose JSON outputs are hashed with the wall times
-  `setup_time`, `assemble_time` and `solve_time` dropped;
+  `setup_time`, `assemble_time`, `solve_time` and `error_time` dropped;
 - a CSV run, `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for
   each delta, `sdfem mesh` and `sdfem verify` (by its stdout), all hashed
   as written.
@@ -37,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from sdfem import cli  # noqa: E402
 from workloads import WORKLOADS, calls  # noqa: E402
 
-WALL_TIMES = ("setup_time", "assemble_time", "solve_time")
+WALL_TIMES = ("setup_time", "assemble_time", "solve_time", "error_time")
 
 # calls beyond the benchmark's; DIR stands for the output directory
 EXTRA_CALLS = (
