@@ -86,12 +86,12 @@ class TestFactorInput:
     def test_ilut_factors_assembled_arrays(self, monkeypatch):
         system = bench_system(8)
         seen = []
+        spla_spilu = solver.spla.spilu
 
         def spilu(A, **kwargs):
             seen.append(A)
             return spla_spilu(A, **kwargs)
 
-        spla_spilu = solver.spla.spilu
         monkeypatch.setattr(solver.spla, "spilu", spilu)
         _, stats = solve(system)
         assert stats.method == "gmres(60)+ilut"
@@ -102,17 +102,18 @@ class TestFactorInput:
     def test_direct_factors_permuted_matrix(self, monkeypatch):
         system = bench_system(8)
         seen = []
+        spla_splu = solver.spla.splu
 
         def splu(A, **kwargs):
-            seen.append(A)
+            # splu sorts its input in place, so look before it runs
+            seen.append((A, A.format, A.has_sorted_indices))
             return spla_splu(A, **kwargs)
 
-        spla_splu = solver.spla.splu
         monkeypatch.setattr(solver.spla, "splu", splu)
         solve(system, SolverConfig(method=SolveMethod.DIRECT_LU))
-        (B,) = seen
+        ((B, fmt, is_sorted),) = seen
         perm = nested_dissection(system.matrix.shape[0])
-        assert B.format == "csc" and B.has_sorted_indices
+        assert fmt == "csc" and is_sorted
         assert np.array_equal(B.toarray(), system.matrix.toarray()[perm][:, perm])
 
 
