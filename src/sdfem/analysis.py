@@ -38,10 +38,15 @@ class DiscreteFunction:
             raise ValueError(f"nodal values must have shape {(n, n)}")
 
     @classmethod
-    def from_dof_vector(cls, mesh: ShishkinMesh2D, u: np.ndarray) -> "DiscreteFunction":
+    def from_dof_vector(cls, mesh: ShishkinMesh2D, u: np.ndarray,
+                        dofs: np.ndarray) -> "DiscreteFunction":
+        """The function with value u[c] at the interior node of natural dof
+        dofs[c] (SparseSystem.dofs) and zero on the boundary."""
         N = mesh.N
+        natural = np.empty((N - 1) ** 2)
+        natural[dofs] = u
         vals = np.zeros((N + 1, N + 1))
-        vals[1:N, 1:N] = u.reshape(N - 1, N - 1).T
+        vals[1:N, 1:N] = natural.reshape(N - 1, N - 1).T
         return cls(mesh=mesh, values=vals)
 
     def corner_values(self):

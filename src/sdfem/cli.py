@@ -97,9 +97,12 @@ def cmd_run(args) -> int:
         problem, mesh = build_case(args.problem, config.N_list[0], config.eps_list[0])
         delta = DeltaField(config.variants[0], config.c_star)
         system = assemble_system(mesh, problem, delta)
-        coo = system.matrix.tocsr().tocoo()  # row-major lines
+        # natural dof numbers, row-major lines
+        coo = system.matrix.tocoo()
+        rows, cols = system.dofs[coo.row], system.dofs[coo.col]
+        order = np.lexsort((cols, rows))
         with open(args.dump_matrix, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
+            for r, c, v in zip(rows[order], cols[order], coo.data[order]):
                 fh.write(f"{r} {c} {v:.17g}\n")
         print(f"wrote {args.dump_matrix}")
     failed = any(r.failed for a in artifacts for r in a.records)

@@ -13,9 +13,16 @@ that pattern. The element matrices are computed once, on
 one representative cell per pair of a row class and a column class. An
 interior node's nine-point stencil depends only on the class pairs of the
 columns left and right of it and of the rows below and above it, so it is
-summed once per pair that occurs, and CSC data is one gather from those
-stencils. Every entry goes through the floating-point operations, in the
-order, of a cell-by-cell assembly, so the matrix is bit-identical to one.
+summed once per pair that occurs. A node's column of the matrix depends
+only on the pairs of its own and its neighbouring lines, so it is built
+once per such window of pairs that occurs, and the CSC matrix is gathered
+from those columns. Every entry goes through the floating-point
+operations, in the order, of a cell-by-cell assembly, so the matrix is
+bit-identical to one.
+
+The dofs are numbered in nested-dissection order (nested_dissection), a
+fill-reducing order, so that both factorizations of the solver read the
+matrix in place as it is assembled; SparseSystem.dofs maps them to nodes.
 
 The right-hand side depends on position through f. It is vectorized over
 all quadrature points and cells of one row strip at a time, so each field
@@ -26,6 +33,7 @@ and does not depend on the strip height.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +51,9 @@ LOCAL_NODES = ((0, 0), (1, 0), (1, 1), (0, 1))
 # layer exponentials, so the right-hand side takes the higher one
 MATRIX_ORDER, RHS_ORDER = 3, 5
 
-# (cell, point) pairs per row strip of the quadrature loops: a strip's
-# float64 temporaries take 512 KiB each
+# (cell, point) pairs per row strip of the quadrature loops, and matrix
+# entries per block of the gather: a strip's or block's float64
+# temporaries take 512 KiB each
 STRIP_CELLS = 65536
 
 
@@ -75,8 +84,12 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class SparseSystem:
+    """The assembled system. Its dof c is the natural interior dof dofs[c];
+    dof (j-1)(N-1) + (i-1) is node (i, j)."""
+
     matrix: sp.csc_matrix
     rhs: np.ndarray
+    dofs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -183,25 +196,50 @@ def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
     )
 
 
-def _stencil_pattern(N: int):
-    """Structure of the nine-point stencil on the (N-1)^2 interior dofs, dof
-    (j-1)(N-1) + (i-1) for node (i, j); it is symmetric, so CSC and CSR alike.
+@functools.cache
+def nested_dissection(m: int) -> np.ndarray:
+    """Nested-dissection order of the dofs 0..m-1 (m >= 1), laid out
+    row-major on a grid of c = ceil(sqrt(m)) columns and ceil(m/c) rows; for
+    an assembled system that is the (N-1) x (N-1) dof grid (George, SIAM J.
+    Numer. Anal. 10, 1973). Indices >= m are dropped.
 
-    Returns (keep, indptr, indices): keep[j-1, i-1, oj+1, oi+1] tells
-    whether node (i, j) couples to its neighbour (i+oi, j+oj), i.e. whether
-    that neighbour is interior. Row-major order of keep is sorted index
-    order.
+    Each box is cut at the middle line of its longer side (a column on a
+    tie), and both halves are ordered before that separator line, down to
+    single dofs. Returns perm, with perm[k] the dof placed k-th, as a
+    read-only int32 array memoized per m.
     """
-    n = N - 1
-    offsets = np.arange(-1, 2)
-    near = np.arange(n)[:, None] + offsets
-    inside = (near >= 0) & (near < n)
-    keep = inside[:, None, :, None] & inside[None, :, None, :]
-    shift = (offsets[:, None] * n + offsets[None, :]).ravel().astype(np.int32)
-    indices = (np.arange(n * n, dtype=np.int32)[:, None] + shift)[keep.reshape(n * n, 9)]
-    indptr = np.zeros(n * n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=(2, 3)).ravel(), out=indptr[1:])
-    return keep, indptr, indices
+    c = math.isqrt(m - 1) + 1
+    rows = -(-m // c)
+    perm = np.empty(rows * c, dtype=np.int32)
+    # the boxes of one bisection level: rows [r0, r1) x columns [c0, c1),
+    # ordered into perm[start:start + area]
+    r0, r1, c0, c1, start = (np.array([v]) for v in (0, rows, 0, c, 0))
+    while r0.size:
+        h, w = r1 - r0, c1 - c0
+        cut_column = w >= h
+        mid_r, mid_c = r0 + h // 2, c0 + w // 2
+        # first half [r0, a_r1) x [c0, a_c1), second half [b_r0, r1) x [b_c0, c1)
+        a_r1 = np.where(cut_column, r1, mid_r)
+        a_c1 = np.where(cut_column, mid_c, c1)
+        b_r0 = np.where(cut_column, r0, mid_r + 1)
+        b_c0 = np.where(cut_column, mid_c + 1, c0)
+        a_area = (a_r1 - r0) * (a_c1 - c0)
+        b_area = (r1 - b_r0) * (c1 - b_c0)
+
+        # the separator line, dof first + k * stride for k < length
+        length = np.where(cut_column, h, w)
+        first = np.where(cut_column, r0 * c + mid_c, mid_r * c + c0)
+        stride = np.where(cut_column, c, 1)
+        box = np.repeat(np.arange(r0.size), length)
+        k = np.arange(box.size) - (np.cumsum(length) - length)[box]
+        perm[start[box] + a_area[box] + b_area[box] + k] = first[box] + k * stride[box]
+
+        halves = np.concatenate([a_area, b_area]) > 0
+        r0, r1, c0, c1, start = (np.concatenate(pair)[halves] for pair in (
+            (r0, b_r0), (a_r1, r1), (c0, b_c0), (a_c1, c1), (start, start + a_area)))
+    perm = perm[perm < m]
+    perm.setflags(write=False)
+    return perm
 
 
 def _cell_classes(width: np.ndarray, factor: np.ndarray):
@@ -226,6 +264,18 @@ def _node_pairs(code: np.ndarray):
     return np.divmod(pairs, n), pair
 
 
+def _node_windows(pair: np.ndarray):
+    """The windows of node pairs (node before, node, node after) around the
+    N-1 interior nodes of one axis, -1 standing for a boundary node; each
+    window that occurs once. Returns (windows, window): the (W, 3) windows
+    and every node's window."""
+    window = sliding_window_view(np.concatenate(([-1], pair, [-1])), 3)
+    base = pair.max() + 2
+    _, first, node = np.unique((window + 1) @ [base * base, base, 1],
+                               return_index=True, return_inverse=True)
+    return window[first], node
+
+
 def assemble_system(
     mesh: ShishkinMesh2D,
     problem: ProblemSpec,
@@ -236,9 +286,10 @@ def assemble_system(
 
     Entry (k, l) is a_SD(phi_l, phi_k) with the -eps*Lap term dropped from
     the stabilization residual (it vanishes for Q1 on rectangles).
-    Dirichlet rows/columns are eliminated. The matrix comes from the table
-    of cell classes (module docstring), bit-identical to a cell-by-cell
-    assembly; the right-hand side from a loop over row strips.
+    Dirichlet rows/columns are eliminated, and the interior dofs come in
+    nested-dissection order (SparseSystem.dofs). The matrix comes from the
+    table of cell classes (module docstring), bit-identical to a
+    cell-by-cell assembly; the right-hand side from a loop over row strips.
     """
     N = mesh.N
     eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
@@ -290,13 +341,41 @@ def assemble_system(
             else:
                 stencil[offset] = blocks[l]
                 filled.add(offset)
-    # column (i, j) holds row (i+oi, j+oj)'s stencil entry at (-oi, -oj)
-    rows = sliding_window_view(np.pad(row_pair, 1), 3)[:, None, :, None]
-    cols = sliding_window_view(np.pad(col_pair, 1), 3)[None, :, None, :]
-    keep, indptr, indices = _stencil_pattern(N)
-    data = stencil[rows, cols, 2 - np.arange(3)[:, None], 2 - np.arange(3)][keep]
+    # The column of interior node (i, j) holds, for each interior neighbour
+    # (i+oi, j+oj), that row's stencil entry at (-oi, -oj). Its nine
+    # entries are fixed by the windows of pairs around the node on either
+    # axis, so each window pair that occurs gets its column once. A window
+    # entry of -1 picks a wrong stencil; present drops those entries.
+    row_win, row_node = _node_windows(row_pair)
+    col_win, col_node = _node_windows(col_pair)
+    rows, cols = row_win[:, None, :, None], col_win[None, :, None, :]
+    column = stencil[rows, cols, 2 - np.arange(3)[:, None], 2 - np.arange(3)].reshape(-1, 9)
+    present = ((rows >= 0) & (cols >= 0)).reshape(-1, 9)
+    # System dof c is the node of natural dof dofs[c] = (j-1)(N-1) + (i-1);
+    # its column is the one of its window pair, in the rows of its
+    # neighbours' system dofs. Blocks of columns of about STRIP_CELLS
+    # entries are gathered at a time, so no temporary outgrows a block.
     n = N - 1
-    A = sp.csc_matrix((data, indices, indptr), shape=(n * n, n * n))
+    m = n * n
+    dofs = nested_dissection(m)
+    node_j, node_i = np.divmod(dofs, n)
+    kind = row_node[node_j] * col_win.shape[0] + col_node[node_i]
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1)[kind], out=indptr[1:])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    position = np.empty_like(dofs)
+    position[dofs] = np.arange(m, dtype=np.int32)
+    offsets = np.arange(-1, 2, dtype=np.int32)
+    shift = (offsets[:, None] * n + offsets).ravel()
+    width = max(1, STRIP_CELLS // 9)
+    for start in range(0, m, width):
+        block = slice(start, min(start + width, m))
+        keep = present[kind[block]]
+        entries = slice(indptr[block.start], indptr[block.stop])
+        data[entries] = column[kind[block]][keep]
+        indices[entries] = position[(dofs[block, None] + shift)[keep]]
+    A = sp.csc_matrix((data, indices, indptr), shape=(m, m))
+    A.sort_indices()  # canonical CSC, which splu would sort in place
 
     # right-hand side
     Floc = np.zeros((4, N, N))
@@ -318,4 +397,4 @@ def assemble_system(
     for k, (di, dj) in enumerate(LOCAL_NODES):
         F += Floc[k, 1 - dj:N - dj, 1 - di:N - di]
 
-    return SparseSystem(matrix=A, rhs=F.ravel())
+    return SparseSystem(matrix=A, rhs=F.ravel()[dofs], dofs=dofs)

@@ -141,7 +141,7 @@ def run_single(
     system = assemble_system(mesh, problem, delta)
     assemble_time = time.perf_counter() - start
     u, stats = solve(system, solver_config or SolverConfig())
-    u_h = DiscreteFunction.from_dof_vector(mesh, u)
+    u_h = DiscreteFunction.from_dof_vector(mesh, u, system.dofs)
     return CaseResult(N=N, problem=problem, delta=delta, u_h=u_h, stats=stats,
                       ndofs=system.matrix.shape[0], nnz=system.matrix.nnz,
                       assemble_time=assemble_time)
@@ -395,12 +395,14 @@ def min_coercivity_ratio(N: int, variant: DeltaVariant, rng: np.random.Generator
     benchmark at eps = 1e-8 with C* = 0.5."""
     problem, mesh = build_case("paper-benchmark", N, 1e-8)
     delta = DeltaField(variant, 0.5)
-    A = assemble_system(mesh, problem, delta).matrix
+    system = assemble_system(mesh, problem, delta)
+    A = system.matrix
     worst = math.inf
     for _ in range(100):
         v = rng.standard_normal(A.shape[0])
         quad = float(v @ (A @ v))
-        nrm = sd_norm_discrete(DiscreteFunction.from_dof_vector(mesh, v), problem, delta)
+        nrm = sd_norm_discrete(DiscreteFunction.from_dof_vector(mesh, v, system.dofs),
+                               problem, delta)
         worst = min(worst, quad / nrm**2)
     return worst
 

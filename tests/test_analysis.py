@@ -14,6 +14,7 @@ from sdfem.analysis import (
     rate,
     sd_norm_discrete,
 )
+from sdfem.discretization import assemble_system
 from sdfem.mesh import AxisSpec, build_mesh
 from sdfem.problem import ExactSolution, ProblemSpec, make_benchmark
 from sdfem.stabilization import DeltaField, DeltaVariant
@@ -49,11 +50,21 @@ class TestDiscreteFunction:
     def test_dof_vector_round_trip(self):
         _, m = bench(N=4)
         u = np.arange(9, dtype=float)
-        f = DiscreteFunction.from_dof_vector(m, u)
+        f = DiscreteFunction.from_dof_vector(m, u, np.arange(9))
         assert f.values[1, 1] == 0.0
         assert f.values[2, 1] == 1.0  # x-fastest dof ordering
         assert f.values[1, 2] == 3.0
         assert np.all(f.values[0, :] == 0.0) and np.all(f.values[:, 4] == 0.0)
+
+    def test_system_dofs_placed_at_their_nodes(self):
+        # system dof c is natural dof dofs[c], node (1 + dofs[c] % 7, 1 + dofs[c] // 7)
+        p, m = bench(N=8)
+        dofs = assemble_system(m, p, DeltaField(DeltaVariant.STANDARD, 0.5)).dofs
+        f = DiscreteFunction.from_dof_vector(m, np.arange(49, dtype=float), dofs)
+        expect = np.zeros((9, 9))
+        expect[1 + dofs % 7, 1 + dofs // 7] = np.arange(49)
+        assert not np.array_equal(dofs, np.arange(49))
+        assert np.array_equal(f.values, expect)
 
     def test_shape_validation(self):
         _, m = bench(N=4)

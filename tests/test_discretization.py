@@ -21,6 +21,7 @@ from sdfem.discretization import (
     QuadratureRule,
     assemble_system,
     cell_points,
+    nested_dissection,
 )
 from sdfem.mesh import AxisSpec, RegionSel, build_mesh
 from sdfem.problem import ExactSolution, make_benchmark
@@ -84,11 +85,18 @@ class TestShapeFunctions:
                 arr[0] = 0.5
 
 
+def natural(system):
+    """The dense matrix and the right-hand side of `system` in natural dof
+    order, dof (j-1)(N-1) + (i-1) for node (i, j), the oracles' order."""
+    inv = np.argsort(system.dofs)
+    return system.matrix.toarray()[np.ix_(inv, inv)], system.rhs[inv]
+
+
 def galerkin_and_sd(m, p, variant):
     """Assembled (Galerkin, stabilized) matrix pair; their difference is the
     stabilization term alone."""
-    gal = assemble_system(m, p, DeltaField(variant, 1e-300)).matrix.toarray()
-    sd = assemble_system(m, p, DeltaField(variant, 0.5)).matrix.toarray()
+    gal, _ = natural(assemble_system(m, p, DeltaField(variant, 1e-300)))
+    sd, _ = natural(assemble_system(m, p, DeltaField(variant, 0.5)))
     return gal, sd
 
 
@@ -269,7 +277,7 @@ class TestCellClasses:
         s, counts = assemble_counting_classes(monkeypatch, m, p, d)
         assert counts == ([5, 3] if variant is DeltaVariant.MODIFIED else [4, 2])
         O = dense_sdfem_matrix(m, p, variant, 0.5)
-        assert np.abs(s.matrix.toarray() - O).max() <= 1e-12 * np.abs(O).max()
+        assert np.abs(natural(s)[0] - O).max() <= 1e-12 * np.abs(O).max()
 
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("eps", [1e-8, 1e-16])
@@ -324,10 +332,10 @@ class TestElementalMatrices:
         inner = m.region_mask(RegionSel.OMEGA_S_EPS)
         rows = sorted(rows_touching(m, inner) - rows_touching(m, ~inner))
         assert rows
-        ss = assemble_system(m, p, DeltaField(DeltaVariant.STANDARD, 0.5))
-        sm = assemble_system(m, p, DeltaField(DeltaVariant.MODIFIED, 0.5))
-        assert np.array_equal(ss.matrix.toarray()[rows], sm.matrix.toarray()[rows])
-        assert np.array_equal(ss.rhs[rows], sm.rhs[rows])
+        As, Fs = natural(assemble_system(m, p, DeltaField(DeltaVariant.STANDARD, 0.5)))
+        Am, Fm = natural(assemble_system(m, p, DeltaField(DeltaVariant.MODIFIED, 0.5)))
+        assert np.array_equal(As[rows], Am[rows])
+        assert np.array_equal(Fs[rows], Fm[rows])
 
     def test_stab_strip_cell_modified_smaller(self):
         p, m = bench(N=8, eps=1e-4)
@@ -342,7 +350,7 @@ class TestAssembly:
         # a vanishing stabilization field must reproduce the Galerkin matrix
         p, m = bench(N=4, eps=0.1)
         d = DeltaField(DeltaVariant.STANDARD, 1e-300)
-        tiny = assemble_system(m, p, d).matrix.toarray()
+        tiny, _ = natural(assemble_system(m, p, d))
         oracle = dense_sdfem_matrix(m, p, DeltaVariant.STANDARD, 1e-300)
         assert np.allclose(tiny, oracle, rtol=1e-12, atol=1e-300)
 
@@ -352,14 +360,15 @@ class TestAssembly:
         for N in (4, 8) if eps < 0.1 else (4,):  # eps = 0.1 admits no mesh at N = 8
             p, m = bench(N=N, eps=eps)
             d = DeltaField(variant, 0.5)
-            A = assemble_system(m, p, d).matrix
+            s = assemble_system(m, p, d)
+            A = s.matrix
             assert A.format == "csc"
             assert A.has_canonical_format
             assert A.indices.dtype == A.indptr.dtype == np.int32
             assert A.nnz == (3 * N - 5) ** 2
             O = dense_sdfem_matrix(m, p, variant, 0.5)
             scale = np.abs(O).max()
-            assert np.abs(A.toarray() - O).max() <= 1e-12 * scale, N
+            assert np.abs(natural(s)[0] - O).max() <= 1e-12 * scale, N
 
     @pytest.mark.parametrize("eps", [0.1, 1e-8, 1e-16])
     @pytest.mark.parametrize("variant", list(DeltaVariant))
@@ -367,7 +376,7 @@ class TestAssembly:
         for N in (4, 8) if eps < 0.1 else (4,):  # eps = 0.1 admits no mesh at N = 8
             p, m = bench(N=N, eps=eps)
             d = DeltaField(variant, 0.5)
-            F = assemble_system(m, p, d).rhs
+            _, F = natural(assemble_system(m, p, d))
             O = dense_sdfem_rhs(m, p, variant, 0.5)
             assert np.abs(F - O).max() <= 1e-12 * np.abs(O).max(), N
 
@@ -392,7 +401,7 @@ class TestAssembly:
         d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         for N in (4, 8):
             p, m = bench(N=N, eps=1e-4)
-            A = assemble_system(m, p, d).matrix.toarray()
+            A, _ = natural(assemble_system(m, p, d))
             O = dense_sdfem_matrix(m, p, d.variant, d.c_star)
             assert np.abs(A - O).max() <= 1e-12 * np.abs(O).max(), N
 
@@ -408,3 +417,31 @@ class TestAssembly:
         p, m = bench(N=8, eps=1e-8)
         d = DeltaField(DeltaVariant.STANDARD, 0.5)
         assert assemble_system(m, p, d).matrix.shape == (49, 49)
+
+    @pytest.mark.parametrize("N", [4, 8, 64])
+    def test_dofs_in_nested_dissection_order(self, N):
+        # both factorizations read the matrix in place, in the order it is
+        # assembled in, so that order is the fill-reducing one
+        p, m = bench(N=N, eps=1e-8)
+        s = assemble_system(m, p, DeltaField(DeltaVariant.MODIFIED, 0.5))
+        assert s.dofs is nested_dissection((N - 1) ** 2)
+        assert s.matrix.has_sorted_indices
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("m", [1, 2, 3, 12, 63**2, 511**2])
+    def test_is_permutation(self, m):
+        perm = nested_dissection(m)
+        assert np.array_equal(np.sort(perm), np.arange(m))
+
+    def test_first_separator_last(self):
+        # the middle column of the 63 x 63 dof grid separates the rest
+        perm = nested_dissection(63**2)
+        assert np.array_equal(perm[-63:], 31 + 63 * np.arange(63))
+
+    def test_cached_read_only(self):
+        perm = nested_dissection(7**2)
+        assert nested_dissection(7**2) is perm
+        assert perm.dtype == np.int32
+        with pytest.raises(ValueError):
+            perm[0] = 0

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,14 +13,14 @@ from sdfem.solver import (
     SingularFactor,
     SolveMethod,
     SolverConfig,
-    nested_dissection,
     solve,
 )
 from sdfem.stabilization import DeltaField, DeltaVariant
 
 
 def system_of(A, F):
-    return SparseSystem(matrix=sp.csc_matrix(A), rhs=np.asarray(F, dtype=float))
+    F = np.asarray(F, dtype=float)
+    return SparseSystem(matrix=sp.csc_matrix(A), rhs=F, dofs=np.arange(F.size))
 
 
 def bench_system(N, eps=1e-8, variant=DeltaVariant.STANDARD):
@@ -74,59 +76,52 @@ class TestSmallSystems:
         assert stats.fallback == "jacobi failed: zero on the diagonal; used none"
 
     def test_shape_validation(self):
-        bad = SparseSystem(matrix=sp.csc_matrix(np.ones((2, 3))), rhs=np.ones(2))
+        bad = SparseSystem(matrix=sp.csc_matrix(np.ones((2, 3))), rhs=np.ones(2),
+                           dofs=np.arange(2))
         with pytest.raises(ValueError):
             solve(bad)
 
 
 class TestFactorInput:
-    """Both factorizations read the assembled CSC matrix without a
-    conversion."""
+    """Both factorizations read the assembled CSC matrix itself, in the
+    order it is assembled in: no copy, no conversion, no ordering step."""
 
-    def test_ilut_factors_assembled_arrays(self, monkeypatch):
+    @pytest.mark.parametrize("name, config", [
+        ("spilu", SolverConfig()),
+        ("splu", SolverConfig(method=SolveMethod.DIRECT_LU)),
+    ])
+    def test_factors_system_matrix(self, monkeypatch, name, config):
         system = bench_system(8)
         seen = []
-        spla_spilu = solver.spla.spilu
+        factor = getattr(solver.spla, name)
 
-        def spilu(A, **kwargs):
-            seen.append(A)
-            return spla_spilu(A, **kwargs)
+        def spy(A, **kwargs):
+            seen.append((A, kwargs["permc_spec"]))
+            return factor(A, **kwargs)
 
-        monkeypatch.setattr(solver.spla, "spilu", spilu)
-        _, stats = solve(system)
-        assert stats.method == "gmres(60)+ilut"
-        (A,) = seen
-        assert all(np.shares_memory(getattr(A, name), getattr(system.matrix, name))
-                   for name in ("data", "indices", "indptr"))
+        monkeypatch.setattr(solver.spla, name, spy)
+        _, stats = solve(system, config)
+        assert stats.converged
+        ((A, permc_spec),) = seen
+        assert np.shares_memory(A.data, system.matrix.data)
+        assert permc_spec == "NATURAL"
 
-    def test_direct_factors_permuted_matrix(self, monkeypatch):
-        system = bench_system(8)
-        seen = []
-        spla_splu = solver.spla.splu
+    def test_no_preconditioner_probe(self, monkeypatch):
+        # LinearOperator runs no solve of its own to find its dtype
+        A = bench_system(8).matrix
+        calls = []
+        spilu = solver.spla.spilu
 
-        def splu(A, **kwargs):
-            # splu sorts its input in place, so look before it runs
-            seen.append((A, A.format, A.has_sorted_indices))
-            return spla_splu(A, **kwargs)
+        def counted(*args, **kwargs):
+            ilu = spilu(*args, **kwargs)
+            return SimpleNamespace(nnz=ilu.nnz,
+                                   solve=lambda v: calls.append(v) or ilu.solve(v))
 
-        monkeypatch.setattr(solver.spla, "splu", splu)
-        solve(system, SolverConfig(method=SolveMethod.DIRECT_LU))
-        ((B, fmt, is_sorted),) = seen
-        perm = nested_dissection(system.matrix.shape[0])
-        assert fmt == "csc" and is_sorted
-        assert np.array_equal(B.toarray(), system.matrix.toarray()[perm][:, perm])
-
-
-class TestNestedDissection:
-    @pytest.mark.parametrize("m", [1, 2, 3, 12, 63**2, 511**2])
-    def test_is_permutation(self, m):
-        perm = nested_dissection(m)
-        assert np.array_equal(np.sort(perm), np.arange(m))
-
-    def test_first_separator_last(self):
-        # the middle column of the 63 x 63 dof grid separates the rest
-        perm = nested_dissection(63**2)
-        assert np.array_equal(perm[-63:], 31 + 63 * np.arange(63))
+        monkeypatch.setattr(solver.spla, "spilu", counted)
+        for kind in (Preconditioner.ILUT, Preconditioner.JACOBI):
+            M, name, _, _ = solver._make_preconditioner(A, kind)
+            assert (name, M.dtype) == (kind.value, A.dtype)
+        assert calls == []
 
 
 class TestConfig:
