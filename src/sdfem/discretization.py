@@ -387,9 +387,9 @@ def assemble_system(
         gx, gy = p.basis_gradients()
         dx, dy = delta_field.axis_factors(mesh, rows, slice(None), p.X, p.Y)
         dv = dx * dy
-        fv = problem.f(p.X, p.Y, p.SX, p.SY)
+        wf = p.weight * problem.f(p.X, p.Y, p.SX, p.SY)
         for k in range(4):
-            F_rows[k] += point_sum(p.weight * fv * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k])))
+            F_rows[k] += point_sum(wf * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k])))
 
     # the interior nodes' corner-k entries are the [1-dj:N-dj, 1-di:N-di]
     # slice of a per-cell array

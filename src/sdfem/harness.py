@@ -50,8 +50,8 @@ def _solver_entry(case: CaseResult) -> dict:
     """What the assembly and solve of a case did and cost; "fallback" only
     when its preconditioner fell back."""
     stats = case.stats
-    entry = {"N": case.N, "iters": stats.iterations, "method": stats.method,
-             "setup_time": stats.setup_time, "fill": stats.fill,
+    entry = {"N": case.N, "iters": stats.iterations, "residual": stats.residual,
+             "method": stats.method, "setup_time": stats.setup_time, "fill": stats.fill,
              "ndofs": case.ndofs, "nnz": case.nnz, "assemble_time": case.assemble_time,
              "solve_time": stats.wall_time, "error_time": case.error_time}
     if stats.fallback:
@@ -341,8 +341,10 @@ def emit_error_grid(
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
-    """Each value spelled as json.dumps spells it (repr when finite)."""
-    return json.dumps(values.tolist())[1:-1].split(", ")
+    """Each value spelled as json.dumps spells a finite float (its repr).
+    Every value of a written grid is finite: a solve whose residual is not
+    finite never counts as converged, so its grid is never written."""
+    return list(map(float.__repr__, values.tolist()))
 
 
 def _with_points_json(head: dict, grid: ErrorGrid, N: int, s: int) -> str:

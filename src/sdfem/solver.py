@@ -8,6 +8,14 @@ which for an assembled system is the fill-reducing nested-dissection
 order of its dof grid (discretization.assemble_system). The solution comes
 back in that order. Both use a SuperLU panel of 4 columns.
 
+GMRES is a port of scipy's left-preconditioned restarted GMRES (modified
+Gram-Schmidt, Givens rotations, the same tolerance adaptation between
+restart cycles) that grows its Krylov basis one vector at a time instead of
+reserving a (restart + 1) x n block, and solves M^-1 F once for both the
+tolerance scale and the first basis vector (Saad & Schultz, SIAM J. Sci.
+Stat. Comput. 7 (1986); Saad, Iterative Methods for Sparse Linear Systems,
+2003, ch. 9).
+
 The reported residual is always recomputed from a fresh matrix-vector
 product, never taken from the Krylov estimate.
 """
@@ -21,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from .discretization import SparseSystem
 
@@ -85,9 +94,8 @@ def _fill(factor, A: sp.spmatrix) -> float:
 
 
 def _make_preconditioner(A: sp.csc_matrix, kind: Preconditioner):
-    """Returns (operator or None, name of the preconditioner used, fill,
-    why the requested one was replaced or None). Each operator is given its
-    dtype, which spares LinearOperator a probing solve."""
+    """Returns (v -> M^-1 v or None, name of the preconditioner used, fill,
+    why the requested one was replaced or None)."""
     if kind is Preconditioner.NONE:
         return None, "none", None, None
     failed = []
@@ -95,8 +103,7 @@ def _make_preconditioner(A: sp.csc_matrix, kind: Preconditioner):
         try:
             ilu = spla.spilu(A, drop_tol=1e-4, fill_factor=10,
                              permc_spec="NATURAL", panel_size=PANEL_SIZE)
-            return (spla.LinearOperator(A.shape, ilu.solve, dtype=A.dtype), "ilut",
-                    _fill(ilu, A), None)
+            return ilu.solve, "ilut", _fill(ilu, A), None
         except RuntimeError as exc:
             failed.append(f"ilut failed: {exc}")  # zero pivot: fall back to Jacobi
     d = A.diagonal()
@@ -105,8 +112,105 @@ def _make_preconditioner(A: sp.csc_matrix, kind: Preconditioner):
         return None, "none", None, "; ".join(failed + ["used none"])
     inv = 1.0 / d
     fallback = "; ".join(failed + ["used jacobi"]) if failed else None
-    return (spla.LinearOperator(A.shape, lambda v: inv * v, dtype=A.dtype), "jacobi",
-            None, fallback)
+    return (lambda v: inv * v), "jacobi", None, fallback
+
+
+def _gmres(A, F, psolve, restart: int, rtol: float, max_cycles: int,
+           history: list[float]) -> np.ndarray:
+    """Left-preconditioned restarted GMRES from the zero vector; returns the
+    last iterate and appends the preconditioned residual norm / ||F|| after
+    every step to `history`.
+
+    `psolve` maps v to M^-1 v in a new array; None stands for M = I. A cycle
+    stops after `restart` steps, when its preconditioned residual meets the
+    cycle's tolerance, or at an exact solution; the run stops when the true
+    residual meets rtol ||F||, at an exact solution or after `max_cycles`
+    cycles. Raises Breakdown at the first Arnoldi step whose new basis
+    vector is not finite, which a non-finite residual also leads to.
+    """
+    x = np.zeros_like(F)
+    norm_f = np.linalg.norm(F)
+    if norm_f == 0:
+        return x
+    atol = rtol * norm_f
+    eps = np.finfo(F.dtype).eps
+    restart = min(restart, F.size)
+    lartg = get_lapack_funcs("lartg", dtype=F.dtype)
+    psolve = psolve or np.copy
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+
+    # M^-1 F, solved once: the tolerance scale and the first basis vector
+    z = psolve(F)
+    beta = np.linalg.norm(z)
+    ptol_max_factor = 1.0
+    ptol = beta * min(ptol_max_factor, atol / norm_f)
+    for _ in range(max_cycles):
+        z *= 1 / beta
+        basis = [z]
+        S = np.zeros(restart + 1)
+        S[0] = beta
+        for col in range(restart):
+            w = psolve(A @ basis[col])
+            # modified Gram-Schmidt
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                tmp = np.dot(basis[k], w)
+                h[col, k] = tmp
+                w -= tmp * basis[k]
+            h1 = np.linalg.norm(w)
+            if not math.isfinite(h1):
+                raise Breakdown(f"GMRES breakdown: Arnoldi value {h1} at "
+                                f"iteration {len(history) + 1}")
+            breakdown = h1 <= eps * h0  # an exact solution
+            if breakdown:
+                h1 = 0.0
+            else:
+                w *= 1 / h1
+            h[col, col + 1] = h1
+            basis.append(w)
+
+            # apply the past Givens rotations to the new column of h, then its own
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, mag = lartg(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0
+            tmp = -s * S[col]
+            S[col], S[col + 1] = c * S[col], tmp
+            presid = abs(tmp)
+            history.append(float(presid / norm_f))
+            if presid <= ptol or breakdown:
+                break
+
+        # back substitution on the triangular h, which lets a zero last
+        # diagonal through as a pseudo-solve
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        for k in range(col + 1):
+            x += y[k] * basis[k]
+
+        r = F - A @ x
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the cycle met its tolerance, the true residual did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+        z = psolve(r)
+        beta = np.linalg.norm(z)
+    return x
 
 
 def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
@@ -141,23 +245,11 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
             fill=_fill(lu, A),
         )
 
-    M, prec_name, fill, fallback = _make_preconditioner(A, config.preconditioner)
+    psolve, prec_name, fill, fallback = _make_preconditioner(A, config.preconditioner)
     setup_time = time.perf_counter() - t0
     history: list[float] = []
-    u, info = spla.gmres(
-        A,
-        F,
-        x0=np.zeros_like(F),
-        rtol=config.rel_residual_tol,
-        atol=0.0,
-        restart=config.restart,
-        maxiter=math.ceil(MAX_KRYLOV_STEPS / config.restart),
-        M=M,
-        callback=lambda r: history.append(float(r)),
-        callback_type="pr_norm",
-    )
-    if info < 0:
-        raise Breakdown(f"GMRES illegal input or breakdown (info={info})")
+    u = _gmres(A, F, psolve, config.restart, config.rel_residual_tol,
+               math.ceil(MAX_KRYLOV_STEPS / config.restart), history)
     res = np.linalg.norm(F - A @ u) / norm_f if norm_f > 0 else 0.0
     return u, SolveStats(
         iterations=len(history),

@@ -1,5 +1,6 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,7 +265,8 @@ class TestCli:
                 "cstar": 0.5,
                 "samples_per_cell": s,
                 "point_fields": ["x", "y", "sigma_x", "sigma_y", "abs_error"],
-                "solver": {"N": N, "iters": stats.iterations, "method": stats.method,
+                "solver": {"N": N, "iters": stats.iterations, "residual": stats.residual,
+                           "method": stats.method,
                            "setup_time": stats.setup_time, "fill": stats.fill,
                            "ndofs": (N - 1) ** 2, "nnz": (3 * N - 5) ** 2,
                            # the one figure stats does not carry
@@ -324,13 +326,16 @@ class TestCli:
         assert err == "error: out of memory: SUPERLU_MALLOC fails for buf in LUMemInit()\n"
 
     def test_grid_breakdown_fails(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(solver.spla, "gmres", lambda A, b, **kw: (np.zeros_like(b), -1))
+        def nan_ilu(A, **kwargs):
+            return SimpleNamespace(nnz=A.nnz, solve=lambda v: np.full_like(v, np.nan))
+
+        monkeypatch.setattr(solver.spla, "spilu", nan_ilu)
         out = tmp_path / "grid.json"
         code = main(["grid", "--N", "8", "--eps", "1e-8", "--out", str(out)])
         assert code == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err == "error: GMRES illegal input or breakdown (info=-1)\n"
+        assert err == "error: GMRES breakdown: Arnoldi value nan at iteration 1\n"
 
     def test_grid_fallback_reported(self, monkeypatch, tmp_path, capsys):
         def zero_pivot(*args, **kwargs):

@@ -1,14 +1,17 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sdfem import solver
 from sdfem.discretization import SparseSystem, assemble_system
 from sdfem.mesh import AxisSpec, build_mesh
 from sdfem.problem import make_benchmark
 from sdfem.solver import (
+    Breakdown,
     Preconditioner,
     SingularFactor,
     SolveMethod,
@@ -106,22 +109,71 @@ class TestFactorInput:
         assert np.shares_memory(A.data, system.matrix.data)
         assert permc_spec == "NATURAL"
 
-    def test_no_preconditioner_probe(self, monkeypatch):
-        # LinearOperator runs no solve of its own to find its dtype
-        A = bench_system(8).matrix
-        calls = []
-        spilu = solver.spla.spilu
 
-        def counted(*args, **kwargs):
-            ilu = spilu(*args, **kwargs)
-            return SimpleNamespace(nnz=ilu.nnz,
-                                   solve=lambda v: calls.append(v) or ilu.solve(v))
+class TestGmres:
+    """solver._gmres against scipy's gmres, the algorithm it ports. Its
+    iterate is summed one basis vector at a time where scipy's is one
+    matrix-vector product, so the two agree to rounding, not in every bit."""
 
-        monkeypatch.setattr(solver.spla, "spilu", counted)
-        for kind in (Preconditioner.ILUT, Preconditioner.JACOBI):
-            M, name, _, _ = solver._make_preconditioner(A, kind)
-            assert (name, M.dtype) == (kind.value, A.dtype)
-        assert calls == []
+    @pytest.mark.parametrize("restart", [60, 2])
+    @pytest.mark.parametrize("kind", list(Preconditioner))
+    @pytest.mark.parametrize("variant", list(DeltaVariant))
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_matches_scipy_gmres(self, N, variant, kind, restart):
+        system = bench_system(N, variant=variant)
+        A, F = system.matrix, system.rhs
+        psolve, *_ = solver._make_preconditioner(A, kind)
+        if psolve is None:
+            # unpreconditioned GMRES stagnates from N=16 on, where that
+            # rounding grows with every cycle (1e-11 relative in the iterate
+            # after two 60-step cycles at N=16), so these runs stop at 60 steps
+            cycles = 60 // restart
+        else:
+            cycles = math.ceil(solver.MAX_KRYLOV_STEPS / restart)
+        history, expected = [], []
+        u = solver._gmres(A, F, psolve, restart, 1e-10, cycles, history)
+        M = None if psolve is None else spla.LinearOperator(A.shape, psolve, dtype=A.dtype)
+        u_ref, _ = spla.gmres(A, F, rtol=1e-10, atol=0.0, restart=restart, maxiter=cycles,
+                              M=M, callback=expected.append, callback_type="pr_norm")
+        assert len(history) == len(expected)
+        assert np.abs(np.subtract(history, expected)).max() <= 1e-12
+        assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+
+    @pytest.mark.parametrize("restart", [60, 2])
+    def test_one_preconditioner_solve_per_step_and_cycle(self, restart):
+        # each cycle solves M^-1 r once to start its basis, and each step
+        # once more; the first cycle's M^-1 F also sets the tolerance scale
+        system = bench_system(16)
+        jacobi, *_ = solver._make_preconditioner(system.matrix, Preconditioner.JACOBI)
+        solves, products = [], []
+
+        class CountedMatrix:
+            def __matmul__(self, v):
+                products.append(v)
+                return system.matrix @ v
+
+        history = []
+        solver._gmres(CountedMatrix(), system.rhs,
+                      lambda v: solves.append(v) or jacobi(v), restart, 1e-10,
+                      math.ceil(solver.MAX_KRYLOV_STEPS / restart), history)
+        # a cycle's products are one per step and one for its residual
+        cycles = len(products) - len(history)
+        assert cycles > 1
+        assert len(solves) == len(history) + cycles
+
+    def test_nan_preconditioner_breaks_down_at_once(self, monkeypatch):
+        # a NaN from the factor stops the solve after its first step, not
+        # after every restart cycle has run
+        solves = []
+
+        def nan_ilu(A, **kwargs):
+            return SimpleNamespace(nnz=A.nnz,
+                                   solve=lambda v: solves.append(v) or np.full_like(v, np.nan))
+
+        monkeypatch.setattr(solver.spla, "spilu", nan_ilu)
+        with pytest.raises(Breakdown, match="^GMRES breakdown: Arnoldi value nan at iteration 1$"):
+            solve(bench_system(8))
+        assert len(solves) == 2
 
 
 class TestConfig:

@@ -16,6 +16,15 @@ The calls are:
 Each line reads `<sha256>  <call> -> <output> (exit <code>)`. Two checkouts
 give the same outputs when their listings are identical. The whole set takes
 about 20 s and 410 MiB of peak RSS on a 2-core host.
+
+    python3 tools/same_outputs.py --norms > outputs.txt
+
+also prints, after the line of each `run` table, one line per table row:
+`norms  <call> -> <output> N=<N>: <e_eps_global> <e_sd_global>
+<e_eps_omegas> <e_sd_omegas> iters=<solver_iters>`, each norm by its repr
+from a JSON table and as written (six digits) from a CSV one. When two
+listings differ only by rounding, these lines show by how much, to check
+against the 1e-12 relative agreement that counts as the same result.
 """
 import os
 
@@ -23,7 +32,9 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -38,6 +49,7 @@ from sdfem import cli  # noqa: E402
 from workloads import WORKLOADS, calls  # noqa: E402
 
 WALL_TIMES = ("setup_time", "assemble_time", "solve_time", "error_time")
+NORMS = ("e_eps_global", "e_sd_global", "e_eps_omegas", "e_sd_omegas")
 
 # calls beyond the benchmark's; DIR stands for the output directory
 EXTRA_CALLS = (
@@ -69,27 +81,49 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv) -> list[str]:
+def table_rows(path: Path) -> list[dict]:
+    """The rows of a run table (JSON or CSV), or none for any other output."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text()).get("records", [])
+    if path.suffix == ".csv":
+        return list(csv.DictReader(path.read_text().splitlines()))
+    return []
+
+
+def run(argv, norms: bool = False) -> list[str]:
     """Run one CLI call in a fresh directory; one line per output file, and
-    one for stdout when the call writes no file."""
+    one for stdout when the call writes no file. With `norms`, each line of
+    a run table is followed by one line per table row."""
     label = " ".join(argv)
     with tempfile.TemporaryDirectory() as tmp:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([arg.replace("DIR", tmp) for arg in argv])
         outputs = sorted(Path(tmp).iterdir())
-        lines = [f"{digest(p)}  {label} -> {p.name} (exit {code})" for p in outputs]
+        lines = []
+        for p in outputs:
+            lines.append(f"{digest(p)}  {label} -> {p.name} (exit {code})")
+            if norms and argv[0] == "run":
+                spell = repr if p.suffix == ".json" else str
+                lines += [f"norms  {label} -> {p.name} N={row['N']}: "
+                          + " ".join(spell(row[k]) for k in NORMS)
+                          + f" iters={row['solver_iters']}" for row in table_rows(p)]
     if not outputs:
         text = stdout.getvalue().encode()
         lines.append(f"{hashlib.sha256(text).hexdigest()}  {label} -> stdout (exit {code})")
     return lines
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 of the outputs of fixed sdfem calls")
+    parser.add_argument("--norms", action="store_true",
+                        help="also print the four norms and GMRES iterations of each run "
+                             "table row")
+    args = parser.parse_args(argv)
     argvs = [(*call.argv, "--out", f"DIR/{call.kind}.json")
              for workload in WORKLOADS for call in calls(workload, seed=0)]
-    for argv in argvs + list(EXTRA_CALLS):
-        for line in run(argv):
+    for call_argv in argvs + list(EXTRA_CALLS):
+        for line in run(call_argv, args.norms):
             print(line, flush=True)
     return 0
 
