@@ -189,7 +189,7 @@ def _gmres(A, F, psolve, restart: int, rtol: float, max_cycles: int,
         # diagonal through as a pseudo-solve
         if h[col, col] == 0:
             S[col] = 0
-        y = S[:col + 1].copy()
+        y = S[:col + 1]
         for k in range(col, 0, -1):
             if y[k] != 0:
                 y[k] /= h[k, k]
@@ -218,7 +218,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
 
     Both methods report converged only when the recomputed residual meets
     config.rel_residual_tol. GMRES starts from the zero vector for
-    determinism; on stagnation the best iterate is returned with
+    determinism; on stagnation the last iterate is returned with
     stats.converged = False.
     """
     A, F = system.matrix, system.rhs
