@@ -203,7 +203,9 @@ def run_experiment(config: ExperimentConfig) -> list[TableArtifact]:
     failed instead of aborting the sweep; metadata["failures"] then lists
     {"N", "error"} per failed row. Every row whose case was assembled and
     solved, failed or not, has a metadata["solver"] entry; one whose
-    preconditioner fell back carries the reason there as "fallback".
+    preconditioner fell back carries the reason there as "fallback". A
+    solve that raises (solver.Breakdown, solver.SingularFactor) leaves its
+    row without an entry.
     """
     artifacts = []
     for eps in config.eps_list:
@@ -343,7 +345,11 @@ def emit_error_grid(
 def _json_floats(values: np.ndarray) -> list[str]:
     """Each value spelled as json.dumps spells a finite float (its repr).
     Every value of a written grid is finite: a solve whose residual is not
-    finite never counts as converged, so its grid is never written."""
+    finite never counts as converged, so its grid is never written. A
+    non-finite value, which repr would spell as invalid JSON, raises
+    ValueError."""
+    if not np.isfinite(values).all():
+        raise ValueError("a grid value is not finite")
     return list(map(float.__repr__, values.tolist()))
 
 

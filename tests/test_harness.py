@@ -337,6 +337,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: GMRES breakdown: Arnoldi value nan at iteration 1\n"
 
+    def test_run_breakdown_row_has_no_solver_entry(self, monkeypatch, tmp_path):
+        # a solve that raises returns no stats, so only its failure is kept
+        def nan_ilu(A, **kwargs):
+            return SimpleNamespace(nnz=A.nnz, solve=lambda v: np.full_like(v, np.nan))
+
+        monkeypatch.setattr(solver.spla, "spilu", nan_ilu)
+        out = tmp_path / "t.json"
+        code = main(["run", "--N", "8", "--eps", "1e-8", "--format", "json",
+                     "--out", str(out)])
+        assert code == 1
+        payload = json.loads(out.read_text())
+        assert payload["records"][0]["failed"]
+        assert payload["metadata"]["solver"] == []
+        assert payload["metadata"]["failures"] == [
+            {"N": 8, "error": "Breakdown: GMRES breakdown: Arnoldi value nan at iteration 1"}]
+
+    def test_grid_spells_no_non_finite_value(self):
+        assert harness._json_floats(np.array([0.1, 1e-300])) == ["0.1", "1e-300"]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                harness._json_floats(np.array([0.5, bad]))
+
     def test_grid_fallback_reported(self, monkeypatch, tmp_path, capsys):
         def zero_pivot(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")

@@ -13,18 +13,15 @@ The calls are:
   each delta, `sdfem mesh` and `sdfem verify` (by its stdout), all hashed
   as written.
 
-Each line reads `<sha256>  <call> -> <output> (exit <code>)`. Two checkouts
-give the same outputs when their listings are identical. The whole set takes
+Each output line reads `<sha256>  <call> -> <output> (exit <code>)`. The
+line of a `run` table is followed by one line per table row, `norms  <call>
+-> <output> N=<N>: <e_eps_global> <e_sd_global> <e_eps_omegas>
+<e_sd_omegas> iters=<solver_iters>`, each norm by its repr from a JSON
+table and as written (six digits) from a CSV one. Two checkouts give the
+same outputs when their sha256 lines are identical; when they differ only
+by rounding, the norm lines show by how much, to check against the 1e-12
+relative agreement that counts as the same result. The whole set takes
 about 20 s and 410 MiB of peak RSS on a 2-core host.
-
-    python3 tools/same_outputs.py --norms > outputs.txt
-
-also prints, after the line of each `run` table, one line per table row:
-`norms  <call> -> <output> N=<N>: <e_eps_global> <e_sd_global>
-<e_eps_omegas> <e_sd_omegas> iters=<solver_iters>`, each norm by its repr
-from a JSON table and as written (six digits) from a CSV one. When two
-listings differ only by rounding, these lines show by how much, to check
-against the 1e-12 relative agreement that counts as the same result.
 """
 import os
 
@@ -32,7 +29,6 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
@@ -90,10 +86,10 @@ def table_rows(path: Path) -> list[dict]:
     return []
 
 
-def run(argv, norms: bool = False) -> list[str]:
+def run(argv) -> list[str]:
     """Run one CLI call in a fresh directory; one line per output file, and
-    one for stdout when the call writes no file. With `norms`, each line of
-    a run table is followed by one line per table row."""
+    one for stdout when the call writes no file. Each line of a run table is
+    followed by one line per table row."""
     label = " ".join(argv)
     with tempfile.TemporaryDirectory() as tmp:
         stdout = io.StringIO()
@@ -103,7 +99,7 @@ def run(argv, norms: bool = False) -> list[str]:
         lines = []
         for p in outputs:
             lines.append(f"{digest(p)}  {label} -> {p.name} (exit {code})")
-            if norms and argv[0] == "run":
+            if argv[0] == "run":
                 spell = repr if p.suffix == ".json" else str
                 lines += [f"norms  {label} -> {p.name} N={row['N']}: "
                           + " ".join(spell(row[k]) for k in NORMS)
@@ -114,16 +110,11 @@ def run(argv, norms: bool = False) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="sha256 of the outputs of fixed sdfem calls")
-    parser.add_argument("--norms", action="store_true",
-                        help="also print the four norms and GMRES iterations of each run "
-                             "table row")
-    args = parser.parse_args(argv)
+def main() -> int:
     argvs = [(*call.argv, "--out", f"DIR/{call.kind}.json")
              for workload in WORKLOADS for call in calls(workload, seed=0)]
-    for call_argv in argvs + list(EXTRA_CALLS):
-        for line in run(call_argv, args.norms):
+    for argv in argvs + list(EXTRA_CALLS):
+        for line in run(argv):
             print(line, flush=True)
     return 0
 
