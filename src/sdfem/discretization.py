@@ -9,16 +9,12 @@ factor. On each axis, the cells whose width and delta factor at the
 quadrature abscissae are bit-equal form one class: on a Shishkin mesh
 coarse and fine for the standard delta, and for the modified one also the
 last coarse strip, where the factor ramps down; more on a mesh that breaks
-that pattern. The element matrices are computed once, on
-one representative cell per pair of a row class and a column class. An
-interior node's nine-point stencil depends only on the class pairs of the
-columns left and right of it and of the rows below and above it, so it is
-summed once per pair that occurs. A node's column of the matrix depends
-only on the pairs of its own and its neighbouring lines, so it is built
-once per such window of pairs that occurs, and the CSC matrix is gathered
-from those columns. Every entry goes through the floating-point
-operations, in the order, of a cell-by-cell assembly, so the matrix is
-bit-identical to one.
+that pattern. The element matrices are computed once, on one
+representative cell per pair of a row class and a column class. Each
+interior node's column of the matrix is summed from the element matrices
+of its four cells' classes, and the CSC matrix is gathered from those
+columns. Every entry goes through the floating-point operations, in the
+order, of a cell-by-cell assembly, so the matrix is bit-identical to one.
 
 The dofs are numbered in nested-dissection order (nested_dissection), a
 fill-reducing order, so that both factorizations of the solver read the
@@ -38,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .mesh import ShishkinMesh2D
 from .problem import ProblemSpec
@@ -254,28 +249,6 @@ def _cell_classes(width: np.ndarray, factor: np.ndarray):
     return first, code
 
 
-def _node_pairs(code: np.ndarray):
-    """The class pairs (before, after) of the cells on either side of the
-    N-1 interior nodes of one axis, each pair that occurs once. Returns
-    ((before, after), pair): two arrays over the pairs, and every node's
-    pair."""
-    n = code.max() + 1
-    pairs, pair = np.unique(code[:-1] * n + code[1:], return_inverse=True)
-    return np.divmod(pairs, n), pair
-
-
-def _node_windows(pair: np.ndarray):
-    """The windows of node pairs (node before, node, node after) around the
-    N-1 interior nodes of one axis, -1 standing for a boundary node; each
-    window that occurs once. Returns (windows, window): the (W, 3) windows
-    and every node's window."""
-    window = sliding_window_view(np.concatenate(([-1], pair, [-1])), 3)
-    base = pair.max() + 2
-    _, first, node = np.unique((window + 1) @ [base * base, base, 1],
-                               return_index=True, return_inverse=True)
-    return window[first], node
-
-
 def assemble_system(
     mesh: ShishkinMesh2D,
     problem: ProblemSpec,
@@ -320,48 +293,33 @@ def assemble_system(
                 + resid[l] * dv * conv[k]
             ))
 
-    # Node (i, j) is corner k = (di, dj) of cell (i - di, j - dj): of the
-    # cell after it (di = 0) or before it (di = 1) on the x axis, likewise
-    # on the y axis. Block (k, l) couples node k to its neighbour at offset
-    # (di_l - di_k, dj_l - dj_k); diagonals sum their four blocks in k
-    # order, every other offset sums at most two. Nodes with the same row
-    # pair and column pair share their stencil, so it is summed once for
-    # them all.
-    row_sides, row_pair = _node_pairs(row_class)
-    col_sides, col_pair = _node_pairs(col_class)
-    # [row pair, column pair, oj+1, oi+1]
-    stencil = np.empty((row_pair.max() + 1, col_pair.max() + 1, 3, 3))
-    filled = set()
-    for k, (dik, djk) in enumerate(LOCAL_NODES):
-        blocks = Aloc[k][:, row_sides[1 - djk][:, None], col_sides[1 - dik]]
-        for l, (dil, djl) in enumerate(LOCAL_NODES):
-            offset = (..., djl - djk + 1, dil - dik + 1)
-            if offset in filled:
-                stencil[offset] += blocks[l]
-            else:
-                stencil[offset] = blocks[l]
-                filled.add(offset)
-    # The column of interior node (i, j) holds, for each interior neighbour
-    # (i+oi, j+oj), that row's stencil entry at (-oi, -oj). Its nine
-    # entries are fixed by the windows of pairs around the node on either
-    # axis, so each window pair that occurs gets its column once. A window
-    # entry of -1 picks a wrong stencil; present drops those entries.
-    row_win, row_node = _node_windows(row_pair)
-    col_win, col_node = _node_windows(col_pair)
-    rows, cols = row_win[:, None, :, None], col_win[None, :, None, :]
-    column = stencil[rows, cols, 2 - np.arange(3)[:, None], 2 - np.arange(3)].reshape(-1, 9)
-    present = ((rows >= 0) & (cols >= 0)).reshape(-1, 9)
-    # System dof c is the node of natural dof dofs[c] = (j-1)(N-1) + (i-1);
-    # its column is the one of its window pair, in the rows of its
-    # neighbours' system dofs. Blocks of columns of about STRIP_CELLS
-    # entries are gathered at a time, so no temporary outgrows a block.
+    # Node (i, j) is corner l = (di, dj) of cell (i - di, j - dj), so the
+    # corner-l cells of the interior nodes are the [1-dj:N-dj, 1-di:N-di]
+    # slice. Block (k, l) of those cells goes into the column of node
+    # (i, j) at the row of its neighbour (i+oi, j+oj), offset (oi, oj) =
+    # (di_k - di_l, dj_k - dj_l): column[oj+1, oi+1, j-1, i-1]. Diagonals
+    # sum their four blocks in k order, every other entry at most two;
+    # -0.0 is the exact additive identity, so the sums are those of a
+    # cell-by-cell assembly.
     n = N - 1
     m = n * n
+    column = np.full((3, 3, n, n), -0.0)
+    for l, (dil, djl) in enumerate(LOCAL_NODES):
+        rows, cols = row_class[1 - djl:N - djl], col_class[1 - dil:N - dil]
+        for k, (dik, djk) in enumerate(LOCAL_NODES):
+            column[djk - djl + 1, dik - dil + 1] += Aloc[k, l][rows][:, cols]
+    column = column.reshape(9, m)
+    # a neighbour is present unless it is a boundary node
+    line = np.arange(n) + np.arange(-1, 2)[:, None]
+    inside = (line >= 0) & (line < n)
+    present = (inside[:, None, :, None] & inside[None, :, None, :]).reshape(9, m)
+    # System dof c is the node of natural dof dofs[c] = (j-1)(N-1) + (i-1);
+    # its column goes in the rows of its neighbours' system dofs. Blocks of
+    # columns of about STRIP_CELLS entries are gathered at a time, so no
+    # temporary outgrows a block.
     dofs = nested_dissection(m)
-    node_j, node_i = np.divmod(dofs, n)
-    kind = row_node[node_j] * col_win.shape[0] + col_node[node_i]
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1)[kind], out=indptr[1:])
+    np.cumsum(present.sum(axis=0)[dofs], out=indptr[1:])
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
     position = np.empty_like(dofs)
     position[dofs] = np.arange(m, dtype=np.int32)
@@ -369,11 +327,12 @@ def assemble_system(
     shift = (offsets[:, None] * n + offsets).ravel()
     width = max(1, STRIP_CELLS // 9)
     for start in range(0, m, width):
-        block = slice(start, min(start + width, m))
-        keep = present[kind[block]]
-        entries = slice(indptr[block.start], indptr[block.stop])
-        data[entries] = column[kind[block]][keep]
-        indices[entries] = position[(dofs[block, None] + shift)[keep]]
+        block = dofs[start:start + width]
+        keep = present[:, block].T
+        entries = slice(indptr[start], indptr[start + block.size])
+        data[entries] = column[:, block].T[keep]
+        indices[entries] = position[(block[:, None] + shift)[keep]]
+    del column, present  # 81 bytes a node; free them before the RHS loop
     A = sp.csc_matrix((data, indices, indptr), shape=(m, m))
     A.sort_indices()  # canonical CSC, which splu would sort in place
 
@@ -391,8 +350,7 @@ def assemble_system(
         for k in range(4):
             F_rows[k] += point_sum(wf * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k])))
 
-    # the interior nodes' corner-k entries are the [1-dj:N-dj, 1-di:N-di]
-    # slice of a per-cell array
+    # the interior nodes' corner-k entries, the same slices as the matrix's
     F = np.zeros((n, n))
     for k, (di, dj) in enumerate(LOCAL_NODES):
         F += Floc[k, 1 - dj:N - dj, 1 - di:N - di]

@@ -162,14 +162,6 @@ class ShishkinMesh2D:
     def N(self) -> int:
         return self.x_axis.N
 
-    @property
-    def x_t(self) -> float:
-        return self.x_axis.transition_point
-
-    @property
-    def y_t(self) -> float:
-        return self.y_axis.transition_point
-
     def region_mask(self, region: RegionSel) -> np.ndarray:
         """Boolean (N, N) mask over the cells, cell (i, j) at [j, i]."""
         member = np.zeros(len(RegionSel.GLOBAL.value), dtype=bool)

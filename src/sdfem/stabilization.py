@@ -9,6 +9,7 @@ a y factor, evaluated on the mesh at hand.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class DeltaField:
     c_star: float
 
     def __post_init__(self):
-        if self.c_star <= 0.0:
-            raise ValueError(f"c_star must be positive, got {self.c_star}")
+        if not 0.0 < self.c_star < math.inf:
+            raise ValueError(f"c_star must be finite and positive, got {self.c_star}")
 
     def axis_factors(self, mesh: ShishkinMesh2D, rows, cols, X: np.ndarray,
                      Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

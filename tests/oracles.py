@@ -34,8 +34,8 @@ def classify_point(mesh, x, y, as_offsets=False):
                  and y >= mesh.y_axis.lam + mesh.y_axis.H)
     else:
         # compare against the stored breakpoints so x = x_t ties exactly
-        in_sx = x <= mesh.x_t
-        in_sy = y <= mesh.y_t
+        in_sx = x <= mesh.x_axis.transition_point
+        in_sy = y <= mesh.y_axis.transition_point
         inner = x <= mesh.x_axis.strip_point and y <= mesh.y_axis.strip_point
     if in_sx and in_sy:
         return RegionSel.OMEGA_S_EPS if inner else RegionSel.OMEGA_S_EPS_COMPLEMENT
@@ -56,8 +56,9 @@ def delta_at(mesh, variant, c_star, i, j, x, y):
     base = c_star / N
     if variant is DeltaVariant.STANDARD:
         return base
-    xi = 1.0 if x <= mesh.x_axis.strip_point else (mesh.x_t - x) / mesh.x_axis.H
-    eta = 1.0 if y <= mesh.y_axis.strip_point else (mesh.y_t - y) / mesh.y_axis.H
+    ax, ay = mesh.x_axis, mesh.y_axis
+    xi = 1.0 if x <= ax.strip_point else (ax.transition_point - x) / ax.H
+    eta = 1.0 if y <= ay.strip_point else (ay.transition_point - y) / ay.H
     return base * xi * eta
 
 

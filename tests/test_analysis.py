@@ -175,7 +175,8 @@ class TestLayerIntegrals:
     @pytest.mark.parametrize("N", [8, 16])
     def test_closed_form_matches_quadrature(self, eps, N):
         _, m = bench(N=N, eps=eps)
-        o = layer_integral_oracle(eps, 2.0, m.x_axis.strip_point, m.x_t, m.x_axis.H)
+        ax = m.x_axis
+        o = layer_integral_oracle(eps, 2.0, ax.strip_point, ax.transition_point, ax.H)
 
         def rel(a, b):
             s = max(abs(a), abs(b))
@@ -190,14 +191,16 @@ class TestLayerIntegrals:
         # tail <= (eps/2beta) N^{-2 rho}, strip <= (eps/2beta)^2 H^{-1} N^{-2 rho}
         beta = 2.0
         _, m = bench(N=N, eps=eps)
-        o = layer_integral_oracle(eps, beta, m.x_axis.strip_point, m.x_t, m.x_axis.H)
+        ax = m.x_axis
+        o = layer_integral_oracle(eps, beta, ax.strip_point, ax.transition_point, ax.H)
         scale = N ** (-2 * 2.5)
         assert o.tail_closed <= (eps / (2 * beta)) * scale * (1 + 1e-12)
         assert o.strip_closed <= (eps / (2 * beta)) ** 2 / m.x_axis.H * scale * (1 + 1e-12)
 
     def test_small_eps_underflows_cleanly(self):
         _, m = bench(N=8, eps=1e-12)
-        o = layer_integral_oracle(1e-12, 2.0, m.x_axis.strip_point, m.x_t, m.x_axis.H)
+        ax = m.x_axis
+        o = layer_integral_oracle(1e-12, 2.0, ax.strip_point, ax.transition_point, ax.H)
         assert o.tail_closed == 0.0 and o.tail_quad == 0.0
         assert math.isfinite(o.strip_closed) and math.isfinite(o.strip_quad)
 

@@ -381,9 +381,10 @@ class TestAssembly:
             assert np.abs(F - O).max() <= 1e-12 * np.abs(O).max(), N
 
     def test_memory_budget(self):
-        # the stencils are summed once per class pair and gathered straight
-        # into CSC, so assembly holds neither per-cell element blocks nor
-        # COO triplets of every (k, l) block
+        # the element matrices are computed once per class pair and the
+        # nodes' columns gathered straight into CSC, so assembly holds
+        # neither per-cell element blocks nor COO triplets of every (k, l)
+        # block
         p, m = bench(N=128, eps=1e-8)
         d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         tracemalloc.start()

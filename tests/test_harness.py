@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,8 +49,9 @@ class TestConfig:
             ExperimentConfig(eps_list=(0.0,))
 
     def test_rejects_bad_cstar(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(c_star=-1.0)
+        for c_star in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(c_star=c_star)
 
     def test_rejects_unbuildable_mesh(self):
         # eps <= 1/N holds, but lambda >= 1/2 on the y axis (beta = 1) at N = 8

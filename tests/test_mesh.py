@@ -116,7 +116,8 @@ class TestMesh2D:
 
     def test_strip_is_last_coarse_row_and_column(self):
         mesh = bench_mesh(N=8, eps=1e-4)
-        assert mesh.x_t - mesh.x_axis.strip_point == pytest.approx(mesh.x_axis.H, rel=1e-12)
+        ax = mesh.x_axis
+        assert ax.transition_point - ax.strip_point == pytest.approx(ax.H, rel=1e-12)
         J, I = np.nonzero(mesh.region_mask(RegionSel.OMEGA_S_EPS_COMPLEMENT))
         strip_cells = set(zip(I.tolist(), J.tolist()))
         expected = {(i, 3) for i in range(4)} | {(3, j) for j in range(4)}
@@ -142,7 +143,8 @@ class TestClassifyPoint:
 
     def test_transition_corner_tie_breaks_into_omega_s(self):
         mesh = bench_mesh()
-        assert classify_point(mesh, mesh.x_t, mesh.y_t) is RegionSel.OMEGA_S_EPS_COMPLEMENT
+        corner_t = (mesh.x_axis.transition_point, mesh.y_axis.transition_point)
+        assert classify_point(mesh, *corner_t) is RegionSel.OMEGA_S_EPS_COMPLEMENT
         corner = (mesh.x_axis.strip_point, mesh.y_axis.strip_point)
         assert classify_point(mesh, *corner) is RegionSel.OMEGA_S_EPS
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -40,9 +41,10 @@ class TestRamps:
         d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         base = 0.5 / m.N
         assert delta_on_omega_s(d, m, m.x_axis.strip_point, 0.1)[0] == base
-        assert delta_on_omega_s(d, m, m.x_t, 0.1)[0] == pytest.approx(0.0, abs=1e-12)
+        x_t, y_t = m.x_axis.transition_point, m.y_axis.transition_point
+        assert delta_on_omega_s(d, m, x_t, 0.1)[0] == pytest.approx(0.0, abs=1e-12)
         assert delta_on_omega_s(d, m, 0.1, m.y_axis.strip_point)[0] == base
-        assert delta_on_omega_s(d, m, 0.1, m.y_t)[0] == pytest.approx(0.0, abs=1e-12)
+        assert delta_on_omega_s(d, m, 0.1, y_t)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_midpoint_linearity(self):
         _, m = bench()
@@ -87,8 +89,9 @@ class TestDelta:
                         assert dv[in_omega_s].all()
 
     def test_invalid_cstar(self):
-        with pytest.raises(ValueError):
-            DeltaField(DeltaVariant.STANDARD, 0.0)
+        for c_star in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                DeltaField(DeltaVariant.STANDARD, c_star)
 
 
 class TestVectorizedEvaluation:
@@ -111,7 +114,7 @@ class TestVectorizedEvaluation:
         d = DeltaField(DeltaVariant.STANDARD, 0.5)
         layer = [m.N // 2]
         p = cell_points(m, QuadratureRule.gauss(3), rows=[0], cols=layer)
-        assert np.all(p.X == m.x_t)  # rounded abscissae of the layer-cell points
+        assert np.all(p.X == m.x_axis.transition_point)  # rounded abscissae of the layer-cell points
         dx, dy = d.axis_factors(m, [0], layer, p.X, p.Y)
         assert not (dx * dy).any()
 

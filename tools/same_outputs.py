@@ -11,7 +11,12 @@ The calls are:
   `setup_time`, `assemble_time`, `solve_time` and `error_time` dropped;
 - a CSV run, `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for
   each delta, `sdfem mesh` and `sdfem verify` (by its stdout), all hashed
-  as written.
+  as written;
+- `assemble_system` on every N of 4, 8, ..., 512 with every eps of 1e-2,
+  1e-4, 1e-8 and 1e-16 that admits a mesh, both deltas and C* of 0.5 and 4
+  (116 cases), each hashed over the matrix's `data`, `indices` and
+  `indptr`, the right-hand side and the dof order, so that any change to
+  assembly shows up as one line, down to the last bit.
 
 Each output line reads `<sha256>  <call> -> <output> (exit <code>)`. The
 line of a `run` table is followed by one line per table row, `norms  <call>
@@ -20,8 +25,9 @@ line of a `run` table is followed by one line per table row, `norms  <call>
 table and as written (six digits) from a CSV one. Two checkouts give the
 same outputs when their sha256 lines are identical; when they differ only
 by rounding, the norm lines show by how much, to check against the 1e-12
-relative agreement that counts as the same result. The whole set takes
-about 20 s and 410 MiB of peak RSS on a 2-core host.
+relative agreement that counts as the same result. An assembly line reads
+`<sha256>  assemble N=<N> eps=<eps> delta=<delta> cstar=<C*>`. The whole
+set takes 13–21 s and 380 MiB of peak RSS on a 2-core host.
 """
 import os
 
@@ -33,6 +39,7 @@ import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -42,6 +49,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from sdfem import cli  # noqa: E402
+from sdfem.discretization import assemble_system  # noqa: E402
+from sdfem.mesh import AxisSpec, InvalidSpec, build_mesh  # noqa: E402
+from sdfem.problem import make_benchmark  # noqa: E402
+from sdfem.stabilization import DeltaField, DeltaVariant  # noqa: E402
 from workloads import WORKLOADS, calls  # noqa: E402
 
 WALL_TIMES = ("setup_time", "assemble_time", "solve_time", "error_time")
@@ -110,12 +121,36 @@ def run(argv) -> list[str]:
     return lines
 
 
+def assembly_lines() -> list[str]:
+    """One line per assemble_system case, hashing the system's arrays;
+    a case is taken where its eps admits a mesh at its N."""
+    lines = []
+    for N, eps, variant, c_star in itertools.product(
+            (4, 8, 16, 32, 64, 128, 256, 512), (1e-2, 1e-4, 1e-8, 1e-16),
+            DeltaVariant, (0.5, 4.0)):
+        problem = make_benchmark(eps)
+        try:
+            mesh = build_mesh(AxisSpec(N=N, epsilon=eps, beta=problem.b1),
+                              AxisSpec(N=N, epsilon=eps, beta=problem.b2))
+        except InvalidSpec:
+            continue
+        s = assemble_system(mesh, problem, DeltaField(variant, c_star))
+        h = hashlib.sha256()
+        for array in (s.matrix.data, s.matrix.indices, s.matrix.indptr, s.rhs, s.dofs):
+            h.update(array.tobytes())
+        lines.append(f"{h.hexdigest()}  assemble N={N} eps={eps:g} "
+                     f"delta={variant.value} cstar={c_star:g}")
+    return lines
+
+
 def main() -> int:
     argvs = [(*call.argv, "--out", f"DIR/{call.kind}.json")
              for workload in WORKLOADS for call in calls(workload, seed=0)]
     for argv in argvs + list(EXTRA_CALLS):
         for line in run(argv):
             print(line, flush=True)
+    for line in assembly_lines():
+        print(line, flush=True)
     return 0
 
 
