@@ -33,7 +33,14 @@ from .harness import (
 )
 from .mesh import InvalidSpec, dump_mesh
 from .problem import PROBLEMS
-from .solver import Breakdown, Preconditioner, SingularFactor, SolveMethod, SolverConfig
+from .solver import (
+    DIRECT_MAX_DOFS,
+    Breakdown,
+    Preconditioner,
+    SingularFactor,
+    SolveMethod,
+    SolverConfig,
+)
 from .stabilization import DeltaField, DeltaVariant
 
 
@@ -53,10 +60,16 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--solver", choices=[m.value for m in SolveMethod], default="gmres")
-    p.add_argument("--restart", type=int, default=60)
+    p.add_argument("--solver", choices=[m.value for m in SolveMethod], default="auto",
+                   help="gmres: restarted GMRES; direct: sparse LU; auto (default): "
+                        f"direct LU up to {DIRECT_MAX_DOFS} dofs (N <= 32), where it is "
+                        "faster than GMRES+ILUT, and GMRES above. Each row's method "
+                        "and iters show which ran")
+    p.add_argument("--restart", type=int, default=60,
+                   help="GMRES restart length (unused by direct-LU rows)")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--precond", choices=[m.value for m in Preconditioner], default="ilut")
+    p.add_argument("--precond", choices=[m.value for m in Preconditioner], default="ilut",
+                   help="GMRES preconditioner (unused by direct-LU rows)")
 
 
 def _table_paths(config: ExperimentConfig, out: str) -> list[str]:

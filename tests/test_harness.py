@@ -142,8 +142,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "solve", boom)
         out = tmp_path / "t.json"
-        code = main(["run", "--N", "8,16", "--eps", "1e-8", "--format", "json",
-                     "--out", str(out)])
+        code = main(["run", "--N", "8,16", "--eps", "1e-8", "--solver", "gmres",
+                     "--format", "json", "--out", str(out)])
         assert code == 1
         payload = json.loads(out.read_text())
         assert all(r["failed"] for r in payload["records"])
@@ -181,8 +181,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(solver.spla, "spilu", zero_pivot)
         out = tmp_path / "t.json"
-        code = main(["run", "--N", "8", "--eps", "1e-8", "--format", "json",
-                     "--out", str(out)])
+        code = main(["run", "--N", "8", "--eps", "1e-8", "--solver", "gmres",
+                     "--format", "json", "--out", str(out)])
         assert code == 0
         (entry,) = json.loads(out.read_text())["metadata"]["solver"]
         assert entry["method"] == "gmres(60)+jacobi"
@@ -333,7 +333,8 @@ class TestCli:
 
         monkeypatch.setattr(solver.spla, "spilu", nan_ilu)
         out = tmp_path / "grid.json"
-        code = main(["grid", "--N", "8", "--eps", "1e-8", "--out", str(out)])
+        code = main(["grid", "--N", "8", "--eps", "1e-8", "--solver", "gmres",
+                     "--out", str(out)])
         assert code == 1
         assert not out.exists()
         err = capsys.readouterr().err
@@ -346,8 +347,8 @@ class TestCli:
 
         monkeypatch.setattr(solver.spla, "spilu", nan_ilu)
         out = tmp_path / "t.json"
-        code = main(["run", "--N", "8", "--eps", "1e-8", "--format", "json",
-                     "--out", str(out)])
+        code = main(["run", "--N", "8", "--eps", "1e-8", "--solver", "gmres",
+                     "--format", "json", "--out", str(out)])
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload["records"][0]["failed"]
@@ -367,7 +368,8 @@ class TestCli:
 
         monkeypatch.setattr(solver.spla, "spilu", zero_pivot)
         out = tmp_path / "grid.json"
-        code = main(["grid", "--N", "8", "--eps", "1e-8", "--out", str(out)])
+        code = main(["grid", "--N", "8", "--eps", "1e-8", "--solver", "gmres",
+                     "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload["points"]) == (8 * 3) ** 2
@@ -380,14 +382,29 @@ class TestCli:
 
     def test_precond_choices(self, tmp_path):
         out = tmp_path / "t.json"
-        code = main(["run", "--N", "8", "--eps", "1e-8", "--precond", "ilut",
-                     "--format", "json", "--out", str(out)])
+        code = main(["run", "--N", "8", "--eps", "1e-8", "--solver", "gmres",
+                     "--precond", "ilut", "--format", "json", "--out", str(out)])
         assert code == 0
         (entry,) = json.loads(out.read_text())["metadata"]["solver"]
         assert entry["method"] == "gmres(60)+ilut"
         with pytest.raises(SystemExit) as exc:
             main(["run", "--N", "8", "--precond", "ilu0", "--out", str(out)])
         assert exc.value.code == 2
+
+    def test_auto_solver_by_size(self, tmp_path):
+        # by default N=8 (49 dofs) is factored by LU and N=64 (3969 dofs) goes
+        # to GMRES; an explicit --solver gmres keeps N=8 on GMRES
+        out = tmp_path / "t.json"
+        assert main(["run", "--N", "8,64", "--eps", "1e-8", "--format", "json",
+                     "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())["metadata"]["solver"]
+        assert [(e["N"], e["method"]) for e in entries] == [
+            (8, "direct"), (64, "gmres(60)+ilut")]
+        assert entries[0]["iters"] == 1
+        assert main(["run", "--N", "8", "--eps", "1e-8", "--solver", "gmres",
+                     "--format", "json", "--out", str(out)]) == 0
+        (entry,) = json.loads(out.read_text())["metadata"]["solver"]
+        assert entry["method"] == "gmres(60)+ilut"
 
     def test_mesh_dump(self, tmp_path):
         out = tmp_path / "mesh.txt"

@@ -176,6 +176,28 @@ class TestGmres:
         assert len(solves) == 2
 
 
+class TestAutoMethod:
+    """AUTO factors a system of at most DIRECT_MAX_DOFS dofs by LU and hands
+    a larger one to GMRES with the configured preconditioner; the stats name
+    what ran."""
+
+    @pytest.mark.parametrize("extra, preconditioner, method", [
+        (0, Preconditioner.ILUT, "direct"),
+        (1, Preconditioner.ILUT, "gmres(60)+ilut"),
+        (1, Preconditioner.JACOBI, "gmres(60)+jacobi"),
+    ])
+    def test_picks_by_size(self, extra, preconditioner, method):
+        n = solver.DIRECT_MAX_DOFS + extra
+        A = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n))
+        u, stats = solve(system_of(A, np.ones(n)),
+                         SolverConfig(method=SolveMethod.AUTO, preconditioner=preconditioner))
+        assert stats.method == method
+        assert stats.converged
+        assert np.linalg.norm(A @ u - 1.0) <= 1e-10 * math.sqrt(n)
+        if method == "direct":
+            assert stats.iterations == 1 and stats.residual_history == []
+
+
 class TestConfig:
     def test_invalid_restart(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ The calls are:
 - every CLI call of the benchmark's workloads (`perfbench/workloads.calls`,
   seed 0, full sizes), whose JSON outputs are hashed with the wall times
   `setup_time`, `assemble_time`, `solve_time` and `error_time` dropped;
-- a CSV run, `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for
-  each delta, `sdfem mesh` and `sdfem verify` (by its stdout), all hashed
-  as written;
+- a CSV run, a JSON run with `--solver gmres` (GMRES+ILUT at N = 8…64,
+  where the default `--solver auto` factors N <= 32 by LU),
+  `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for each delta,
+  `sdfem mesh` and `sdfem verify` (by its stdout), all hashed as written
+  (the JSON run with its wall times dropped);
 - `assemble_system` on every N of 4, 8, ..., 512 with every eps of 1e-2,
   1e-4, 1e-8 and 1e-16 that admits a mesh, both deltas and C* of 0.5 and 4
   (116 cases), each hashed over the matrix's `data`, `indices` and
@@ -62,6 +64,9 @@ NORMS = ("e_eps_global", "e_sd_global", "e_eps_omegas", "e_sd_omegas")
 EXTRA_CALLS = (
     ("run", "--N", "8,16,32,64", "--eps", "1e-4,1e-16", "--delta", "both",
      "--out", "DIR/table.csv"),
+    # GMRES+ILUT on the small systems that --solver auto factors by LU
+    ("run", "--N", "8,16,32,64", "--eps", "1e-4,1e-16", "--delta", "both",
+     "--solver", "gmres", "--format", "json", "--out", "DIR/table.json"),
     ("run", "--N", "8", "--eps", "1e-8", "--dump-matrix", "DIR/matrix.txt",
      "--out", "DIR/table.csv"),
     ("run", "--N", "64", "--eps", "1e-16", "--delta", "standard",
