@@ -20,16 +20,21 @@ The dofs are numbered in nested-dissection order (nested_dissection), a
 fill-reducing order, so that both factorizations of the solver read the
 matrix in place as it is assembled; SparseSystem.dofs maps them to nodes.
 
-The right-hand side depends on position through f. It is vectorized over
-all quadrature points and cells of one row strip at a time, so each field
-is evaluated once per strip and its temporaries stay small. The
-accumulation order is fixed, so the assembled system is bit-reproducible
-and does not depend on the strip height.
+The right-hand side is sum-factorized (Orszag, J. Comput. Phys. 37, 1980).
+The source is a sum of x*y terms (ProblemSpec.f_terms), and the basis
+functions, their gradients and delta are x*y products too, so the 5x5
+Gauss sum of each term against a test function factors into 5-point sums
+along each axis, and so does the sum over the four cells of a node. Each
+source factor is evaluated once, on the abscissae of every column or of
+every row, from the exact offsets of cell_points. Every node's load is
+then a sum of six products of an x and a y sum, added in a fixed order
+without BLAS, so the assembled system is bit-reproducible.
 """
 from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +90,7 @@ class SparseSystem:
     matrix: sp.csc_matrix
     rhs: np.ndarray
     dofs: np.ndarray
+    rhs_time: float | None = None  # wall time of assemble_system's right-hand side stage
 
 
 @dataclass(frozen=True)
@@ -249,6 +255,27 @@ def _cell_classes(width: np.ndarray, factor: np.ndarray):
     return first, code
 
 
+def _axis_loads(rule: QuadratureRule, width: np.ndarray, f: np.ndarray, delta: np.ndarray):
+    """Gauss sums along one axis of N cells for the right-hand side, for
+    each of T factors f of source terms and each interior node 1..N-1 of
+    the axis: the integrals of f and of f * delta against the node's 1-D
+    hat function, and of f * delta against the hat's derivative, each a
+    (T, N-1) array. The derivative's 1/width cancels the cell's width. f
+    stacks the T factors' values at the rule's abscissae of every cell, as
+    cell_points lays them out along the axis; delta is laid out alike or
+    holds one value per cell; width holds the N cell widths."""
+    T, q = len(f), rule.points.size
+    fw = rule.weights[:, None] * f.reshape(T, q, -1)
+    fwd = fw * delta.reshape(-1, width.size)
+    hats = ((1.0 - rule.points)[:, None], rule.points[:, None])  # left, right corner
+    mass = [np.add.reduce(fw * hat, axis=1) * width for hat in hats]
+    dmass = [np.add.reduce(fwd * hat, axis=1) * width for hat in hats]
+    slope = np.add.reduce(fwd, axis=1)
+    # node i is the right corner of cell i - 1 and the left one of cell i
+    return (mass[1][:, :-1] + mass[0][:, 1:], dmass[1][:, :-1] + dmass[0][:, 1:],
+            slope[:, :-1] - slope[:, 1:])
+
+
 def assemble_system(
     mesh: ShishkinMesh2D,
     problem: ProblemSpec,
@@ -262,7 +289,9 @@ def assemble_system(
     Dirichlet rows/columns are eliminated, and the interior dofs come in
     nested-dissection order (SparseSystem.dofs). The matrix comes from the
     table of cell classes (module docstring), bit-identical to a
-    cell-by-cell assembly; the right-hand side from a loop over row strips.
+    cell-by-cell assembly; the right-hand side from per-axis Gauss sums
+    of the source's terms (module docstring). SparseSystem.rhs_time is
+    the wall time of the right-hand side stage.
     """
     N = mesh.N
     eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
@@ -332,27 +361,25 @@ def assemble_system(
         entries = slice(indptr[start], indptr[start + block.size])
         data[entries] = column[:, block].T[keep]
         indices[entries] = position[(block[:, None] + shift)[keep]]
-    del column, present  # 81 bytes a node; free them before the RHS loop
+    del column, present  # 81 bytes a node; free them before the sort
     A = sp.csc_matrix((data, indices, indptr), shape=(m, m))
     A.sort_indices()  # canonical CSC, which splu would sort in place
 
-    # right-hand side
-    Floc = np.zeros((4, N, N))
+    # right-hand side: a term fx*fy of f loads a node by three products of
+    # an x and a y Gauss sum, for the test function's mass, b1*delta*d/dx
+    # and b2*delta*d/dy parts
+    started = time.perf_counter()
     rule = QuadratureRule.gauss(RHS_ORDER)
-    for rows in row_strips(N, RHS_ORDER**2):
-        F_rows = Floc[:, rows]
-        p = cell_points(mesh, rule, rows)
-        phi = p.phi
-        gx, gy = p.basis_gradients()
-        dx, dy = delta_field.axis_factors(mesh, rows, slice(None), p.X, p.Y)
-        dv = dx * dy
-        wf = p.weight * problem.f(p.X, p.Y, p.SX, p.SY)
-        for k in range(4):
-            F_rows[k] += point_sum(wf * (phi[k] + dv * (b1 * gx[k] + b2 * gy[k])))
+    px, py = cell_points(mesh, rule, rows=slice(0)), cell_points(mesh, rule, cols=slice(0))
+    dx, dy = delta_field.axis_factors(mesh, slice(None), slice(None), px.X, py.Y)
+    x_factors = np.array([fx(px.X, px.SX) for fx, _ in problem.f_terms])
+    y_factors = np.array([fy(py.Y, py.SY) for _, fy in problem.f_terms])
+    mass, dmass, slope = _axis_loads(rule, mesh.x_axis.cell_width, x_factors, dx)
+    x_loads = np.concatenate([mass, b1 * slope, dmass])
+    mass, dmass, slope = _axis_loads(rule, mesh.y_axis.cell_width, y_factors, dy)
+    y_loads = np.concatenate([mass, dmass, b2 * slope])
+    # summed in a fixed order, without BLAS, so the bits do not depend on its build
+    F = np.einsum("qj,qi->ji", y_loads, x_loads, optimize=False)
+    rhs_time = time.perf_counter() - started
 
-    # the interior nodes' corner-k entries, the same slices as the matrix's
-    F = np.zeros((n, n))
-    for k, (di, dj) in enumerate(LOCAL_NODES):
-        F += Floc[k, 1 - dj:N - dj, 1 - di:N - di]
-
-    return SparseSystem(matrix=A, rhs=F.ravel()[dofs], dofs=dofs)
+    return SparseSystem(matrix=A, rhs=F.ravel()[dofs], dofs=dofs, rhs_time=rhs_time)

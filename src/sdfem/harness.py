@@ -53,7 +53,8 @@ def _solver_entry(case: CaseResult) -> dict:
     entry = {"N": case.N, "iters": stats.iterations, "residual": stats.residual,
              "method": stats.method, "setup_time": stats.setup_time, "fill": stats.fill,
              "ndofs": case.ndofs, "nnz": case.nnz, "assemble_time": case.assemble_time,
-             "solve_time": stats.wall_time, "error_time": case.error_time}
+             "rhs_time": case.rhs_time, "solve_time": stats.wall_time,
+             "error_time": case.error_time}
     if stats.fallback:
         entry["fallback"] = stats.fallback
     return entry
@@ -102,6 +103,7 @@ class CaseResult:
     ndofs: int
     nnz: int
     assemble_time: float  # wall time of assemble_system
+    rhs_time: float  # the part of it that assembled the right-hand side
     error_time: float | None = None  # wall time of comp; None until it is computed
 
     @functools.cached_property
@@ -144,7 +146,7 @@ def run_single(
     u_h = DiscreteFunction.from_dof_vector(mesh, u, system.dofs)
     return CaseResult(N=N, problem=problem, delta=delta, u_h=u_h, stats=stats,
                       ndofs=system.matrix.shape[0], nnz=system.matrix.nnz,
-                      assemble_time=assemble_time)
+                      assemble_time=assemble_time, rhs_time=system.rhs_time)
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Continuous problem data: coefficients, source, exact solutions.
 
-The coefficients b = (b1, b2) and c are constants. The source and the exact
-solution are vectorized callables that take the boundary offsets
-(sx, sy) = (1-x, 1-y) as first-class arguments so layer-cell quadrature
-never forms 1-x by subtracting near-1 doubles.
+The coefficients b = (b1, b2) and c are constants. The source is a sum of
+x*y products, f(x, y) = sum_t fx_t(x) * fy_t(y), carried as its factors, so
+that its integrals against the Q1 test functions factor into sums along
+each axis. The factors and the exact solution are vectorized callables
+that take the boundary offsets (sx, sy) = (1-x, 1-y) as first-class
+arguments, so layer-cell quadrature never forms 1-x by subtracting near-1
+doubles.
 """
 from __future__ import annotations
 
@@ -32,13 +35,22 @@ class ProblemSpec:
     b1: float
     b2: float
     c: float
-    f: Callable  # (x, y, sx, sy) -> field
+    f_terms: tuple  # ((fx, fy), ...): f = sum of fx(x, sx) * fy(y, sy)
     exact: ExactSolution | None = None
     name: str = "custom"
 
     def __post_init__(self):
         if not (self.b1 > 0.0 and self.b2 > 0.0 and self.c > 0.0):
             raise ValueError(f"need b1, b2, c > 0, got ({self.b1}, {self.b2}, {self.c})")
+
+    def f(self, x, y, sx, sy):
+        """The source at (x, y) with offsets (sx, sy): its terms summed in
+        order."""
+        (fx, fy), *rest = self.f_terms
+        total = fx(x, sx) * fy(y, sy)
+        for fx, fy in rest:
+            total = total + fx(x, sx) * fy(y, sy)
+        return total
 
     def require_exact(self) -> ExactSolution:
         if self.exact is None:
@@ -74,26 +86,36 @@ def make_benchmark(epsilon: float) -> ProblemSpec:
         wp = 2.0 * y * (1.0 - ey) - (y * y / eps) * ey
         return gp * w, g * wp
 
-    def source(x, y, sx, sy):
-        ex, ey = _parts(x, y, sx, sy)
+    # f = (-eps g'' + 2 g' + g)(x) w(y) + g(x) (-eps w'' + w')(y), with
+    # u = g(x) w(y); each factor takes its coordinate and its offset
+    def g(x, sx):
+        return 2.0 * np.sin(x) * (1.0 - np.exp(-2.0 * np.asarray(sx, dtype=float) / eps))
+
+    def w(y, sy):
+        return y * y * (1.0 - np.exp(-np.asarray(sy, dtype=float) / eps))
+
+    def g_operator(x, sx):
+        ex = np.exp(-2.0 * np.asarray(sx, dtype=float) / eps)
         sinx, cosx = np.sin(x), np.cos(x)
         g = 2.0 * sinx * (1.0 - ex)
         gp = 2.0 * cosx * (1.0 - ex) - (4.0 / eps) * sinx * ex
         gpp = (-2.0 * sinx * (1.0 - ex)
                - (8.0 / eps) * cosx * ex
                - (8.0 / (eps * eps)) * sinx * ex)
-        w = y * y * (1.0 - ey)
+        return -eps * gpp + 2.0 * gp + g
+
+    def w_operator(y, sy):
+        ey = np.exp(-np.asarray(sy, dtype=float) / eps)
         wp = 2.0 * y * (1.0 - ey) - (y * y / eps) * ey
         wpp = 2.0 * (1.0 - ey) - (4.0 * y / eps) * ey - (y * y / (eps * eps)) * ey
-        return (-eps * (gpp * w + g * wpp)
-                + 2.0 * gp * w + g * wp + g * w)
+        return -eps * wpp + wp
 
     return ProblemSpec(
         epsilon=eps,
         b1=2.0,
         b2=1.0,
         c=1.0,
-        f=source,
+        f_terms=((g_operator, w), (g, w_operator)),
         exact=ExactSolution(value=value, gradient=gradient),
         name="paper-benchmark",
     )

@@ -40,7 +40,7 @@ def bilinear_problem(eps=1e-2):
         b1=2.0,
         b2=1.0,
         c=1.0,
-        f=lambda x, y, sx, sy: 0.0 * np.asarray(x),
+        f_terms=((lambda x, sx: 0.0 * np.asarray(x), lambda y, sy: 0.0 * np.asarray(y)),),
         exact=ExactSolution(value=value, gradient=gradient),
         name="bilinear-synthetic",
     )

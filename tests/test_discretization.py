@@ -194,9 +194,12 @@ class TestPointBatching:
 
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
-        # every field is evaluated once per row strip, never once per point;
-        # the matrix evaluates delta's factors twice, on every row and column
-        # for the class keys and on its block of class representatives
+        # no field is evaluated once per point: assembly evaluates each
+        # factor of the source once, on the abscissae of every column or
+        # every row, and delta's factors three times: the matrix on every
+        # row and column for the class keys and on its block of class
+        # representatives, the right-hand side on every row and column.
+        # The error norms evaluate every field once per row strip.
         calls = Counter()
 
         def counted(name, fn):
@@ -208,18 +211,19 @@ class TestPointBatching:
         p, m = bench(N=N, eps=1e-8)
         exact = ExactSolution(value=counted("value", p.exact.value),
                               gradient=counted("gradient", p.exact.gradient))
-        p = dataclasses.replace(p, f=counted("f", p.f), exact=exact)
+        terms = tuple((counted(f"fx{t}", fx), counted(f"fy{t}", fy))
+                      for t, (fx, fy) in enumerate(p.f_terms))
+        p = dataclasses.replace(p, f_terms=terms, exact=exact)
         monkeypatch.setattr(DeltaField, "axis_factors",
                             counted("delta", DeltaField.axis_factors))
         d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         u_h = interpolant(p, m)  # one nodal call of exact.value
-        matrix_strips = len(discretization.row_strips(N, 9))
         strips = len(discretization.row_strips(N, 25))
-        assert (matrix_strips, strips) == ((1, 1) if N == 8 else (37, 103))
+        assert strips == (1 if N == 8 else 103)
 
         calls.clear()
         assemble_system(m, p, d)
-        assert calls == {"f": strips, "delta": 2 + strips}
+        assert calls == {"fx0": 1, "fy0": 1, "fx1": 1, "fy1": 1, "delta": 3}
 
         calls.clear()
         ErrorComputation(u_h, d, p)
@@ -373,7 +377,7 @@ class TestAssembly:
     @pytest.mark.parametrize("eps", [0.1, 1e-8, 1e-16])
     @pytest.mark.parametrize("variant", list(DeltaVariant))
     def test_rhs_matches_dense_bruteforce(self, eps, variant):
-        for N in (4, 8) if eps < 0.1 else (4,):  # eps = 0.1 admits no mesh at N = 8
+        for N in (4, 8, 16) if eps < 0.1 else (4,):  # eps = 0.1 admits no mesh at N = 8
             p, m = bench(N=N, eps=eps)
             d = DeltaField(variant, 0.5)
             _, F = natural(assemble_system(m, p, d))

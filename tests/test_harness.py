@@ -132,6 +132,7 @@ class TestRunExperiment:
             N = e["N"]
             assert (e["ndofs"], e["nnz"]) == ((N - 1) ** 2, (3 * N - 5) ** 2)
             assert e["assemble_time"] > 0.0 and e["solve_time"] > 0.0
+            assert 0.0 < e["rhs_time"] <= e["assemble_time"]
         # the norms are timed where they are computed; a grid computes none
         assert all(e["error_time"] > 0.0 for e in entries[:2])
         assert entries[2]["error_time"] is None
@@ -271,9 +272,9 @@ class TestCli:
                            "method": stats.method,
                            "setup_time": stats.setup_time, "fill": stats.fill,
                            "ndofs": (N - 1) ** 2, "nnz": (3 * N - 5) ** 2,
-                           # the one figure stats does not carry
-                           "assemble_time": json.loads(out.read_text())["solver"][
-                               "assemble_time"],
+                           # the two figures stats does not carry
+                           **{key: json.loads(out.read_text())["solver"][key]
+                              for key in ("assemble_time", "rhs_time")},
                            "solve_time": stats.wall_time, "error_time": None},
                 "points": np.column_stack(
                     [grid.x, grid.y, grid.sigma_x, grid.sigma_y, grid.abs_error]

@@ -98,6 +98,21 @@ class TestSource:
         assert np.isfinite(out).all()
 
 
+    @pytest.mark.parametrize("eps", [1e-2, 1e-16])
+    def test_source_is_sum_of_its_terms(self, eps):
+        # f sums fx * fy over its terms, bit for bit, also at points whose
+        # offsets lie in the layers, where 1 - offset rounds to 1 at eps = 1e-16
+        p = make_benchmark(eps)
+        sx = np.concatenate([np.linspace(0.05, 0.95, 7), eps * np.array([0.5, 1.0, 3.0, 10.0])])
+        sy = sx[::-1].copy()
+        X, SX, Y, SY = (1.0 - sx)[:, None], sx[:, None], (1.0 - sy)[None, :], sy[None, :]
+        (fx0, fy0), (fx1, fy1) = p.f_terms
+        expect = fx0(X, SX) * fy0(Y, SY) + fx1(X, SX) * fy1(Y, SY)
+        out = p.f(X, Y, SX, SY)
+        assert out.shape == (11, 11)
+        assert np.isfinite(out).all() and out.tobytes() == expect.tobytes()
+
+
 class TestValidation:
     def test_benchmark_passes(self):
         p = make_benchmark(1e-8)

@@ -123,13 +123,17 @@ class TestGmres:
         system = bench_system(N, variant=variant)
         A, F = system.matrix, system.rhs
         psolve, *_ = solver._make_preconditioner(A, kind)
-        if psolve is None:
-            # unpreconditioned GMRES stagnates from N=16 on, where that
-            # rounding grows with every cycle (1e-11 relative in the iterate
-            # after two 60-step cycles at N=16), so these runs stop at 60 steps
-            cycles = 60 // restart
-        else:
+        if kind is Preconditioner.ILUT:
             cycles = math.ceil(solver.MAX_KRYLOV_STEPS / restart)
+        else:
+            # that rounding grows with every step, so these runs stop at 60
+            # steps. Unpreconditioned GMRES stagnates from N=16 on (1e-11
+            # relative in the iterate after two 60-step cycles at N=16).
+            # Jacobi runs take up to 831 steps; at N=32 with the standard
+            # delta and restart 2 the true residuals after 381 cycles are
+            # 1.00009 and 0.99992 times the tolerance, so rounding decides
+            # which cycle stops each run
+            cycles = 60 // restart
         history, expected = [], []
         u = solver._gmres(A, F, psolve, restart, 1e-10, cycles, history)
         M = None if psolve is None else spla.LinearOperator(A.shape, psolve, dtype=A.dtype)

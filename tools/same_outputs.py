@@ -8,17 +8,20 @@ The calls are:
 
 - every CLI call of the benchmark's workloads (`perfbench/workloads.calls`,
   seed 0, full sizes), whose JSON outputs are hashed with the wall times
-  `setup_time`, `assemble_time`, `solve_time` and `error_time` dropped;
+  `setup_time`, `assemble_time`, `rhs_time`, `solve_time` and `error_time`
+  dropped;
 - a CSV run, a JSON run with `--solver gmres` (GMRES+ILUT at N = 8…64,
-  where the default `--solver auto` factors N <= 32 by LU),
-  `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for each delta,
-  `sdfem mesh` and `sdfem verify` (by its stdout), all hashed as written
-  (the JSON run with its wall times dropped);
+  where the default `--solver auto` factors N <= 32 by LU), a JSON run with
+  `--solver direct` (LU at N = 8…512, eps 1e-8 and 1e-16, both deltas, so
+  that its norms move only with the discretization, never with a solver
+  tolerance), `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for each
+  delta, `sdfem mesh` and `sdfem verify` (by its stdout), all hashed as
+  written (the JSON runs with their wall times dropped);
 - `assemble_system` on every N of 4, 8, ..., 512 with every eps of 1e-2,
   1e-4, 1e-8 and 1e-16 that admits a mesh, both deltas and C* of 0.5 and 4
-  (116 cases), each hashed over the matrix's `data`, `indices` and
-  `indptr`, the right-hand side and the dof order, so that any change to
-  assembly shows up as one line, down to the last bit.
+  (116 cases), each as two lines: one hashing the matrix's `data`,
+  `indices` and `indptr` with the dof order, one hashing the right-hand
+  side, so that any change to either shows up down to the last bit.
 
 Each output line reads `<sha256>  <call> -> <output> (exit <code>)`. The
 line of a `run` table is followed by one line per table row, `norms  <call>
@@ -27,9 +30,11 @@ line of a `run` table is followed by one line per table row, `norms  <call>
 table and as written (six digits) from a CSV one. Two checkouts give the
 same outputs when their sha256 lines are identical; when they differ only
 by rounding, the norm lines show by how much, to check against the 1e-12
-relative agreement that counts as the same result. An assembly line reads
-`<sha256>  assemble N=<N> eps=<eps> delta=<delta> cstar=<C*>`. The whole
-set takes 13–21 s and 380 MiB of peak RSS on a 2-core host.
+relative agreement that counts as the same result. An assembly case's
+lines read `<sha256>  matrix N=<N> eps=<eps> delta=<delta> cstar=<C*>`
+and the same with `rhs` for `matrix`, so a diff shows a matrix change
+apart from a right-hand side change. The whole set takes 24–27 s and 383 MiB of peak RSS on a 2-core
+host.
 """
 import os
 
@@ -57,7 +62,7 @@ from sdfem.problem import make_benchmark  # noqa: E402
 from sdfem.stabilization import DeltaField, DeltaVariant  # noqa: E402
 from workloads import WORKLOADS, calls  # noqa: E402
 
-WALL_TIMES = ("setup_time", "assemble_time", "solve_time", "error_time")
+WALL_TIMES = ("setup_time", "assemble_time", "rhs_time", "solve_time", "error_time")
 NORMS = ("e_eps_global", "e_sd_global", "e_eps_omegas", "e_sd_omegas")
 
 # calls beyond the benchmark's; DIR stands for the output directory
@@ -67,6 +72,9 @@ EXTRA_CALLS = (
     # GMRES+ILUT on the small systems that --solver auto factors by LU
     ("run", "--N", "8,16,32,64", "--eps", "1e-4,1e-16", "--delta", "both",
      "--solver", "gmres", "--format", "json", "--out", "DIR/table.json"),
+    # LU on every size, so that the norms move only with the discretization
+    ("run", "--N", "8,16,32,64,128,256,512", "--eps", "1e-8,1e-16", "--delta", "both",
+     "--solver", "direct", "--format", "json", "--out", "DIR/table.json"),
     ("run", "--N", "8", "--eps", "1e-8", "--dump-matrix", "DIR/matrix.txt",
      "--out", "DIR/table.csv"),
     ("run", "--N", "64", "--eps", "1e-16", "--delta", "standard",
@@ -127,8 +135,9 @@ def run(argv) -> list[str]:
 
 
 def assembly_lines() -> list[str]:
-    """One line per assemble_system case, hashing the system's arrays;
-    a case is taken where its eps admits a mesh at its N."""
+    """Two lines per assemble_system case, hashing the system's matrix
+    with its dof order and its right-hand side; a case is taken where its
+    eps admits a mesh at its N."""
     lines = []
     for N, eps, variant, c_star in itertools.product(
             (4, 8, 16, 32, 64, 128, 256, 512), (1e-2, 1e-4, 1e-8, 1e-16),
@@ -140,11 +149,14 @@ def assembly_lines() -> list[str]:
         except InvalidSpec:
             continue
         s = assemble_system(mesh, problem, DeltaField(variant, c_star))
-        h = hashlib.sha256()
-        for array in (s.matrix.data, s.matrix.indices, s.matrix.indptr, s.rhs, s.dofs):
-            h.update(array.tobytes())
-        lines.append(f"{h.hexdigest()}  assemble N={N} eps={eps:g} "
-                     f"delta={variant.value} cstar={c_star:g}")
+        case = f"N={N} eps={eps:g} delta={variant.value} cstar={c_star:g}"
+        for name, arrays in (("matrix", (s.matrix.data, s.matrix.indices,
+                                         s.matrix.indptr, s.dofs)),
+                             ("rhs", (s.rhs,))):
+            h = hashlib.sha256()
+            for array in arrays:
+                h.update(array.tobytes())
+            lines.append(f"{h.hexdigest()}  {name} {case}")
     return lines
 
 
