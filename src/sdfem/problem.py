@@ -10,6 +10,8 @@ doubles.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,13 +46,8 @@ class ProblemSpec:
             raise ValueError(f"need b1, b2, c > 0, got ({self.b1}, {self.b2}, {self.c})")
 
     def f(self, x, y, sx, sy):
-        """The source at (x, y) with offsets (sx, sy): its terms summed in
-        order."""
-        (fx, fy), *rest = self.f_terms
-        total = fx(x, sx) * fy(y, sy)
-        for fx, fy in rest:
-            total = total + fx(x, sx) * fy(y, sy)
-        return total
+        """The source at (x, y) with offsets (sx, sy), its terms added in order."""
+        return functools.reduce(operator.add, (fx(x, sx) * fy(y, sy) for fx, fy in self.f_terms))
 
     def require_exact(self) -> ExactSolution:
         if self.exact is None:

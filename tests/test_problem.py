@@ -97,7 +97,6 @@ class TestSource:
         assert out.shape == (5,)
         assert np.isfinite(out).all()
 
-
     @pytest.mark.parametrize("eps", [1e-2, 1e-16])
     def test_source_is_sum_of_its_terms(self, eps):
         # f sums fx * fy over its terms, bit for bit, also at points whose

@@ -126,13 +126,13 @@ class TestGmres:
         if kind is Preconditioner.ILUT:
             cycles = math.ceil(solver.MAX_KRYLOV_STEPS / restart)
         else:
-            # that rounding grows with every step, so these runs stop at 60
-            # steps. Unpreconditioned GMRES stagnates from N=16 on (1e-11
-            # relative in the iterate after two 60-step cycles at N=16).
-            # Jacobi runs take up to 831 steps; at N=32 with the standard
-            # delta and restart 2 the true residuals after 381 cycles are
-            # 1.00009 and 0.99992 times the tolerance, so rounding decides
-            # which cycle stops each run
+            # the rounding by which the two differ grows with every step, so
+            # these runs stop at 60 steps. Unpreconditioned GMRES stagnates
+            # from N=16 on (1e-11 relative in the iterate after two 60-step
+            # cycles at N=16). Jacobi runs take up to 831 steps, and that
+            # rounding can decide their last cycle: at N=32, standard
+            # delta, restart 2, the two true residuals after 381 cycles are
+            # 1.00009 and 0.99992 times the tolerance
             cycles = 60 // restart
         history, expected = [], []
         u = solver._gmres(A, F, psolve, restart, 1e-10, cycles, history)
