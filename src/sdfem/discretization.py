@@ -361,7 +361,7 @@ def assemble_system(
         entries = slice(indptr[start], indptr[start + block.size])
         data[entries] = column[:, block].T[keep]
         indices[entries] = position[(block[:, None] + shift)[keep]]
-    del column, present  # 81 bytes a node; free them before the sort
+    del column, present  # 81 bytes a node; free them before the right-hand side
     A = sp.csc_matrix((data, indices, indptr), shape=(m, m))
     A.sort_indices()  # canonical CSC, which splu would sort in place
 
