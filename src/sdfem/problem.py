@@ -65,47 +65,56 @@ def make_benchmark(epsilon: float) -> ProblemSpec:
     """
     eps = float(epsilon)
 
-    def _parts(x, y, sx, sy):
-        # layer exponentials from exact offsets; underflow to 0 is correct
+    def value(x, y, sx, sy):
+        # layer exponentials from exact offsets; underflow to 0 is correct.
+        # The product is formed left to right, which rounds unlike g * w
         ex = np.exp(-2.0 * np.asarray(sx, dtype=float) / eps)
         ey = np.exp(-np.asarray(sy, dtype=float) / eps)
-        return ex, ey
-
-    def value(x, y, sx, sy):
-        ex, ey = _parts(x, y, sx, sy)
         return 2.0 * np.sin(x) * (1.0 - ex) * y * y * (1.0 - ey)
 
+    # u = g(x) w(y); the derivatives of each factor up to `order`, from its
+    # coordinate and its offset, with the layer exponential evaluated once
+    def g_jet(x, sx, order):
+        ex = np.exp(-2.0 * np.asarray(sx, dtype=float) / eps)
+        sinx = np.sin(x)
+        jet = [2.0 * sinx * (1.0 - ex)]
+        if order >= 1:
+            cosx = np.cos(x)
+            jet.append(2.0 * cosx * (1.0 - ex) - (4.0 / eps) * sinx * ex)
+        if order >= 2:
+            jet.append(-2.0 * sinx * (1.0 - ex)
+                       - (8.0 / eps) * cosx * ex
+                       - (8.0 / (eps * eps)) * sinx * ex)
+        return jet
+
+    def w_jet(y, sy, order):
+        ey = np.exp(-np.asarray(sy, dtype=float) / eps)
+        jet = [y * y * (1.0 - ey)]
+        if order >= 1:
+            jet.append(2.0 * y * (1.0 - ey) - (y * y / eps) * ey)
+        if order >= 2:
+            jet.append(2.0 * (1.0 - ey) - (4.0 * y / eps) * ey - (y * y / (eps * eps)) * ey)
+        return jet
+
     def gradient(x, y, sx, sy):
-        ex, ey = _parts(x, y, sx, sy)
-        g = 2.0 * np.sin(x) * (1.0 - ex)
-        gp = 2.0 * np.cos(x) * (1.0 - ex) - (4.0 / eps) * np.sin(x) * ex
-        w = y * y * (1.0 - ey)
-        wp = 2.0 * y * (1.0 - ey) - (y * y / eps) * ey
+        g, gp = g_jet(x, sx, 1)
+        w, wp = w_jet(y, sy, 1)
         return gp * w, g * wp
 
-    # f = (-eps g'' + 2 g' + g)(x) w(y) + g(x) (-eps w'' + w')(y), with
-    # u = g(x) w(y); each factor takes its coordinate and its offset
-    def g(x, sx):
-        return 2.0 * np.sin(x) * (1.0 - np.exp(-2.0 * np.asarray(sx, dtype=float) / eps))
-
-    def w(y, sy):
-        return y * y * (1.0 - np.exp(-np.asarray(sy, dtype=float) / eps))
-
+    # f = (-eps g'' + 2 g' + g)(x) w(y) + g(x) (-eps w'' + w')(y)
     def g_operator(x, sx):
-        ex = np.exp(-2.0 * np.asarray(sx, dtype=float) / eps)
-        sinx, cosx = np.sin(x), np.cos(x)
-        g = 2.0 * sinx * (1.0 - ex)
-        gp = 2.0 * cosx * (1.0 - ex) - (4.0 / eps) * sinx * ex
-        gpp = (-2.0 * sinx * (1.0 - ex)
-               - (8.0 / eps) * cosx * ex
-               - (8.0 / (eps * eps)) * sinx * ex)
+        g, gp, gpp = g_jet(x, sx, 2)
         return -eps * gpp + 2.0 * gp + g
 
     def w_operator(y, sy):
-        ey = np.exp(-np.asarray(sy, dtype=float) / eps)
-        wp = 2.0 * y * (1.0 - ey) - (y * y / eps) * ey
-        wpp = 2.0 * (1.0 - ey) - (4.0 * y / eps) * ey - (y * y / (eps * eps)) * ey
+        _, wp, wpp = w_jet(y, sy, 2)
         return -eps * wpp + wp
+
+    def g(x, sx):
+        return g_jet(x, sx, 0)[0]
+
+    def w(y, sy):
+        return w_jet(y, sy, 0)[0]
 
     return ProblemSpec(
         epsilon=eps,
