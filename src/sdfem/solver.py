@@ -230,9 +230,10 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
 
     AUTO runs DIRECT_LU on systems of at most DIRECT_MAX_DOFS dofs and
     GMRES_RESTARTED on larger ones. Both methods report converged only when
-    the recomputed residual meets config.rel_residual_tol. GMRES starts from
-    the zero vector for determinism; on stagnation the last iterate is
-    returned with stats.converged = False.
+    the solution is finite and the recomputed residual meets
+    config.rel_residual_tol. GMRES starts from the zero vector for
+    determinism; on stagnation the last iterate is returned with
+    stats.converged = False.
     """
     A, F = system.matrix, system.rhs
     if A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -251,29 +252,21 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()):
             raise SingularFactor(f"LU factorization failed: {exc}") from exc
         setup_time = time.perf_counter() - t0
         u = lu.solve(F)
-        res = np.linalg.norm(F - A @ u) / norm_f if norm_f > 0 else 0.0
-        return u, SolveStats(
-            iterations=1,
-            residual=res,
-            wall_time=time.perf_counter() - t0,
-            method="direct",
-            converged=bool(np.isfinite(u).all() and res <= config.rel_residual_tol),
-            setup_time=setup_time,
-            fill=_fill(lu, A),
-        )
-
-    psolve, prec_name, fill, fallback = _make_preconditioner(A, config.preconditioner)
-    setup_time = time.perf_counter() - t0
-    history: list[float] = []
-    u = _gmres(A, F, psolve, config.restart, config.rel_residual_tol,
-               math.ceil(MAX_KRYLOV_STEPS / config.restart), history)
+        name, iterations, fill, fallback, history = "direct", 1, _fill(lu, A), None, []
+    else:
+        psolve, prec_name, fill, fallback = _make_preconditioner(A, config.preconditioner)
+        setup_time = time.perf_counter() - t0
+        history = []
+        u = _gmres(A, F, psolve, config.restart, config.rel_residual_tol,
+                   math.ceil(MAX_KRYLOV_STEPS / config.restart), history)
+        name, iterations = f"gmres({config.restart})+{prec_name}", len(history)
     res = np.linalg.norm(F - A @ u) / norm_f if norm_f > 0 else 0.0
     return u, SolveStats(
-        iterations=len(history),
+        iterations=iterations,
         residual=res,
         wall_time=time.perf_counter() - t0,
-        method=f"gmres({config.restart})+{prec_name}",
-        converged=(res <= config.rel_residual_tol),
+        method=name,
+        converged=bool(np.isfinite(u).all() and res <= config.rel_residual_tol),
         setup_time=setup_time,
         fill=fill,
         fallback=fallback,

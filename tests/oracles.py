@@ -155,7 +155,7 @@ def dense_sdfem_rhs(mesh, problem, variant, c_star, quad_order=5):
                     sy = sigma_y[j] - tb * wy
                     wq = w1[a] * w1[b] * wx * wy / 4.0
                     b1v, b2v = problem.b1, problem.b2
-                    fv = float(problem.f(x, y, sx, sy))
+                    fv = float(sum(fx(x, sx) * fy(y, sy) for fx, fy in problem.f_terms))
                     dv = delta_at(mesh, variant, c_star, i, j, x, y)
                     phi, gx, gy = _bilinear_basis(ta, tb, wx, wy)
                     for k in range(4):

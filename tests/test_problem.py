@@ -13,8 +13,8 @@ def u(p, x, y):
 
 
 def f(p, x, y):
-    """Source at (x, y), offsets formed as 1 - x, 1 - y."""
-    return p.f(x, y, 1.0 - x, 1.0 - y)
+    """Source at (x, y), the sum of its x*y terms, offsets formed as 1 - x, 1 - y."""
+    return sum(fx(x, 1.0 - x) * fy(y, 1.0 - y) for fx, fy in p.f_terms)
 
 
 class TestExactSolution:
@@ -87,7 +87,7 @@ class TestSource:
         gpp = -2.0 * math.sin(x)
         w, wp, wpp = y**2, 2 * y, 2.0
         limit = -eps * (gpp * w + g * wpp) + 2 * gp * w + g * wp + g * w
-        assert float(p.f(x, y, 1.0 - x, 1.0 - y)) == pytest.approx(limit, abs=1e-12)
+        assert float(f(p, x, y)) == pytest.approx(limit, abs=1e-12)
 
     def test_vectorized_evaluation(self):
         p = make_benchmark(1e-8)
@@ -97,19 +97,34 @@ class TestSource:
         assert out.shape == (5,)
         assert np.isfinite(out).all()
 
-    @pytest.mark.parametrize("eps", [1e-2, 1e-16])
-    def test_source_is_sum_of_its_terms(self, eps):
-        # f sums fx * fy over its terms, bit for bit, also at points whose
-        # offsets lie in the layers, where 1 - offset rounds to 1 at eps = 1e-16
-        p = make_benchmark(eps)
-        sx = np.concatenate([np.linspace(0.05, 0.95, 7), eps * np.array([0.5, 1.0, 3.0, 10.0])])
-        sy = sx[::-1].copy()
-        X, SX, Y, SY = (1.0 - sx)[:, None], sx[:, None], (1.0 - sy)[None, :], sy[None, :]
-        (fx0, fy0), (fx1, fy1) = p.f_terms
-        expect = fx0(X, SX) * fy0(Y, SY) + fx1(X, SX) * fy1(Y, SY)
-        out = p.f(X, Y, SX, SY)
-        assert out.shape == (11, 11)
-        assert np.isfinite(out).all() and out.tobytes() == expect.tobytes()
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-16])
+    def test_terms_match_high_precision(self, eps):
+        # every factor of f = (-eps g'' + 2 g' + g)(x) w(y) + g(x) (-eps w'' + w')(y)
+        # against 60-digit values, the derivatives taken by mpmath.diff,
+        # also deep in the layers, where the 1/eps parts of g'' and g' cancel
+        mp = pytest.importorskip("mpmath")
+        (gx_op, wy), (gx, wy_op) = make_benchmark(eps).f_terms
+        with mp.workdps(60):
+            e = mp.mpf(eps)
+
+            def g(x):
+                return 2 * mp.sin(x) * (1 - mp.exp(-2 * (1 - x) / e))
+
+            def w(y):
+                return y * y * (1 - mp.exp(-(1 - y) / e))
+
+            def g_op(x):
+                return -e * mp.diff(g, x, 2) + 2 * mp.diff(g, x) + g(x)
+
+            def w_op(y):
+                return -e * mp.diff(w, y, 2) + mp.diff(w, y)
+
+            for s in (0.999, 0.5, 0.05, 3 * eps, eps, 0.3 * eps, 0.01 * eps):
+                t = 1 - mp.mpf(s)  # the coordinate whose offset is exactly s
+                for factor, reference in ((gx_op, g_op), (wy, w), (gx, g), (wy_op, w_op)):
+                    ref = reference(t)
+                    got = float(factor(np.array([1.0 - s]), np.array([s]))[0])
+                    assert abs(got - ref) <= 1e-14 * abs(ref), (s, reference.__name__, got, ref)
 
 
 class TestValidation:
