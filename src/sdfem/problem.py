@@ -69,19 +69,22 @@ def make_benchmark(epsilon: float) -> ProblemSpec:
 
     # each factor from its coordinate and exact offset: its value, its first
     # derivative and its part of the operator. A layer exponential that
-    # underflows to 0 is correct
+    # underflows to 0 is correct; 1 - e comes from expm1, which keeps it to an
+    # ulp where e is close to 1, deep in the layer
     def g(x, sx):
-        ex = np.exp(-2.0 * np.asarray(sx, dtype=float) / eps)
+        t = -2.0 * np.asarray(sx, dtype=float) / eps
+        ex, om = np.exp(t), -np.expm1(t)  # e_x and 1 - e_x
         sinx, cosx = np.sin(x), np.cos(x)
-        return (2.0 * sinx * (1.0 - ex),
-                2.0 * cosx * (1.0 - ex) - (4.0 / eps) * sinx * ex,
-                (2.0 + 2.0 * eps) * sinx * (1.0 - ex) + 4.0 * cosx * (1.0 + ex))
+        return (2.0 * sinx * om,
+                2.0 * cosx * om - (4.0 / eps) * sinx * ex,
+                (2.0 + 2.0 * eps) * sinx * om + 4.0 * cosx * (1.0 + ex))
 
     def w(y, sy):
-        ey = np.exp(-np.asarray(sy, dtype=float) / eps)
-        return (y * y * (1.0 - ey),
-                2.0 * y * (1.0 - ey) - (y * y / eps) * ey,
-                2.0 * y * (1.0 + ey) - 2.0 * eps * (1.0 - ey))
+        t = -np.asarray(sy, dtype=float) / eps
+        ey, om = np.exp(t), -np.expm1(t)  # e_y and 1 - e_y
+        return (y * y * om,
+                2.0 * y * om - (y * y / eps) * ey,
+                2.0 * y * (1.0 + ey) - 2.0 * eps * om)
 
     def value(x, y, sx, sy):
         return g(x, sx)[0] * w(y, sy)[0]
