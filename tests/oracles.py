@@ -2,8 +2,10 @@
 
 Everything here is written from first principles on purpose: plain nested
 loops, dense matrices and high-order Gauss quadrature, sharing no code with
-the vectorized assembly under test.
+the vectorized assembly and error norms under test.
 """
+import math
+
 import numpy as np
 
 from sdfem.mesh import RegionSel
@@ -165,3 +167,69 @@ def dense_sdfem_rhs(mesh, problem, variant, c_star, quad_order=5):
                 if row is not None:
                     F[row] += loc[k]
     return F
+
+
+def _benchmark_solution(x, y, sx, sy, eps):
+    """u = 2 sin(x) (1 - exp(-2 sx/eps)) * y^2 (1 - exp(-sy/eps)) and its
+    gradient at (x, y), with the offsets sx = 1 - x and sy = 1 - y given
+    exactly."""
+    ex, ey = math.exp(-2.0 * sx / eps), math.exp(-sy / eps)
+    mx, my = -math.expm1(-2.0 * sx / eps), -math.expm1(-sy / eps)
+    g = 2.0 * math.sin(x) * mx
+    dg = 2.0 * math.cos(x) * mx - 4.0 / eps * math.sin(x) * ex
+    w = y * y * my
+    dw = 2.0 * y * my - y * y / eps * ey
+    return g * w, dg * w, g * dw
+
+
+# the regions that partition the cells, and those that are unions of them
+_PARTITION = (RegionSel.OMEGA_S_EPS, RegionSel.OMEGA_S_EPS_COMPLEMENT,
+              RegionSel.OMEGA_X, RegionSel.OMEGA_Y, RegionSel.OMEGA_XY)
+_UNIONS = {RegionSel.GLOBAL: _PARTITION, RegionSel.OMEGA_S: _PARTITION[:2]}
+
+
+def dense_error_components(mesh, problem, values, variant, c_star, use_exact=True,
+                           quad_order=5):
+    """Error-norm components (eps*|e|_1^2, c*||e||^2, ||delta^(1/2) b.grad e||^2)
+    of e = u - u_h on every region, by per-cell tensor Gauss quadrature.
+
+    u is the benchmark solution (written out here from its formula, in
+    offsets), or 0 with use_exact=False, which gives the norms of u_h
+    itself; u_h is bilinear with nodal values values[i, j] at (x_i, y_j).
+    Each cell goes to the region of its midpoint, in offsets. Returns
+    {RegionSel: (eg, ml, st)} for every region."""
+    N = mesh.N
+    ax, ay = mesh.x_axis, mesh.y_axis
+    p1, w1 = np.polynomial.legendre.leggauss(quad_order)
+    parts = {r: np.zeros(3) for r in _PARTITION}
+    for j in range(N):
+        for i in range(N):
+            wx, wy = ax.cell_width[i], ay.cell_width[j]
+            corners = [values[i + di, j + dj] for di, dj in CORNERS]
+            eg = ml = st = 0.0
+            for a in range(quad_order):
+                for b in range(quad_order):
+                    ta = 0.5 * (1.0 + p1[a])
+                    tb = 0.5 * (1.0 + p1[b])
+                    x = ax.cell_left[i] + ta * wx
+                    y = ay.cell_left[j] + tb * wy
+                    sx = ax.cell_sigma_left[i] - ta * wx
+                    sy = ay.cell_sigma_left[j] - tb * wy
+                    u, ux, uy = (_benchmark_solution(x, y, sx, sy, problem.epsilon)
+                                 if use_exact else (0.0, 0.0, 0.0))
+                    phi, gx, gy = _bilinear_basis(ta, tb, wx, wy)
+                    e = u - sum(c * f for c, f in zip(corners, phi))
+                    ex = ux - sum(c * f for c, f in zip(corners, gx))
+                    ey = uy - sum(c * f for c, f in zip(corners, gy))
+                    wq = w1[a] * w1[b] * wx * wy / 4.0
+                    dv = delta_at(mesh, variant, c_star, i, j, x, y)
+                    conv = problem.b1 * ex + problem.b2 * ey
+                    eg += wq * (ex * ex + ey * ey)
+                    ml += wq * e * e
+                    st += wq * dv * conv * conv
+            region = classify_point(mesh, ax.cell_sigma_left[i] - 0.5 * wx,
+                                    ay.cell_sigma_left[j] - 0.5 * wy, as_offsets=True)
+            parts[region] += (problem.epsilon * eg, problem.c * ml, st)
+    for union, members in _UNIONS.items():
+        parts[union] = sum(parts[r] for r in members)
+    return {r: tuple(parts[r]) for r in RegionSel}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_error_components
 from sdfem.analysis import (
     DiscreteFunction,
     ErrorComputation,
@@ -15,8 +16,10 @@ from sdfem.analysis import (
     sd_norm_discrete,
 )
 from sdfem.discretization import assemble_system
+from sdfem.harness import run_single
 from sdfem.mesh import AxisSpec, build_mesh
 from sdfem.problem import ExactSolution, ProblemSpec, make_benchmark
+from sdfem.solver import SolveMethod, SolverConfig
 from sdfem.stabilization import DeltaField, DeltaVariant
 
 
@@ -236,3 +239,30 @@ class TestPointwiseGrid:
         p, _ = bench(N=8)
         with pytest.raises(ValueError):
             pointwise_error_grid(p, case.u_h, samples_per_cell=0)
+
+
+class TestErrorOracle:
+    @pytest.mark.parametrize("variant", list(DeltaVariant))
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-16])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_components_match_dense_quadrature(self, N, eps, variant):
+        # every region's three components against plain per-cell Gauss
+        # loops, for a direct-LU solution, the interpolant plus noise and
+        # the norms of that noisy function itself (use_exact=False)
+        p, m = bench(N=N, eps=eps)
+        d = DeltaField(variant, 0.5)
+        lu = run_single("paper-benchmark", N, eps, variant, 0.5,
+                        SolverConfig(method=SolveMethod.DIRECT_LU)).u_h
+        rng = np.random.default_rng(N)
+        noisy = interpolant(p, m).values.copy()
+        noisy[1:-1, 1:-1] += 1e-3 * rng.standard_normal((N - 1, N - 1))
+        noisy = DiscreteFunction(mesh=m, values=noisy)
+        for u_h, use_exact in ((lu, True), (noisy, True), (noisy, False)):
+            comp = ErrorComputation(u_h, d, p, use_exact=use_exact)
+            ref = dense_error_components(m, p, u_h.values, variant, 0.5, use_exact)
+            scale = ref[RegionSel.GLOBAL]
+            for region in RegionSel:
+                got = comp.report(region).components
+                for k in range(3):
+                    assert abs(got[k] - ref[region][k]) <= 1e-12 * scale[k], (
+                        region, k, use_exact, got[k], ref[region][k])
