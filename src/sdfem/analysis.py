@@ -4,6 +4,22 @@ convergence rates.
 
 All region boundaries are mesh lines, so region restriction is cell-aligned
 and cells are never split.
+
+The error norms follow the split the paper's analysis uses, u - u_h =
+eta + xi, with eta = u - u^I, xi = u^I - u_h and u^I the nodal interpolant
+(see also Stynes & Tobiska, SIAM J. Numer. Anal. 41, 2003). The exact
+solution is a product gx(x) * gy(y) (problem.ExactSolution), so on a cell
+eta = (gx - I gx)(x) gy(y) + (I gx)(x) (gy - I gy)(y), while xi is
+bilinear: four modal coefficients times products of Legendre polynomials in
+x and in y. The error, its two derivatives and its streamline derivative
+are thus sums of x*y terms, and the integral over a cell of the product of
+two terms, weighted by delta = dx(x) * dy(y), is a Gauss sum along x times
+one along y. ErrorComputation evaluates each factor of u once, on the
+abscissae and the nodes of its axis together; takes the Gauss sums of every
+product of two per-axis functions in every cell; and sums each cell's
+norms as products of an x and a y sum, weighted by 1, by a modal
+coefficient or by the product of two. With the same Gauss rule per axis
+that is the cell's tensor Gauss rule, up to rounding.
 """
 from __future__ import annotations
 
@@ -12,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import QuadratureRule, cell_points, point_sum, row_strips
+from .discretization import QuadratureRule, cell_points
 from .mesh import RegionSel, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
@@ -58,15 +74,10 @@ class DiscreteFunction:
 
 def interpolant(problem: ProblemSpec, mesh: ShishkinMesh2D) -> DiscreteFunction:
     """Nodal interpolant of the exact solution (layer nodes via offsets)."""
-    return DiscreteFunction(mesh=mesh, values=_nodal_exact(problem.require_exact(), mesh))
-
-
-def _nodal_exact(exact, mesh: ShishkinMesh2D) -> np.ndarray:
-    """Exact solution at every node, [i, j] for (x_i, y_j); layer nodes
-    via their offsets."""
+    exact = problem.require_exact()
     ax, ay = mesh.x_axis, mesh.y_axis
-    return np.asarray(exact.value(ax.nodes[:, None], ay.nodes[None, :],
-                                  ax.node_sigma[:, None], ay.node_sigma[None, :]))
+    return DiscreteFunction(mesh=mesh, values=np.multiply.outer(
+        exact.x_factor(ax.nodes, ax.node_sigma)[0], exact.y_factor(ay.nodes, ay.node_sigma)[0]))
 
 
 @dataclass(frozen=True)
@@ -77,14 +88,141 @@ class ErrorReport:
     components: tuple[float, float, float]  # (eps*|.|_1^2, c*||.||^2, stab^2)
 
 
+# The functions along one axis that make up the error on a cell of width h,
+# t in [0, 1] across it: the factor f of u, the interpolation error f - If,
+# the linear interpolant If and the Legendre polynomial t - 1/2 (halved),
+# each followed by its derivative, and the halved constant polynomial 1/2
+_F, _DF, _R, _DR, _I, _DI, _P1, _DP1, _P0 = range(9)
+_CONSTANT = (_P0, _DI, _DP1)  # constant on a cell, so orthogonal to _P1
+
+# xi on a cell is the sum of C[k] * P_kx(x) * P_ky(y) over the modal
+# coefficients k = (kx, ky), with the halved Legendre polynomials above
+_C00, _C10, _C01, _C11 = range(4)
+
+# e, e_x and e_y on a cell as x*y terms (x function, y function, weight);
+# the weight is the modal coefficient of xi the term carries, None for eta
+_E = ((_R, _F, None), (_I, _R, None), (_P0, _P0, _C00), (_P1, _P0, _C10),
+      (_P0, _P1, _C01), (_P1, _P1, _C11))
+_E_X = ((_DR, _F, None), (_DI, _R, None), (_DP1, _P0, _C10), (_DP1, _P1, _C11))
+_E_Y = ((_R, _DF, None), (_I, _DR, None), (_P0, _DP1, _C01), (_P1, _DP1, _C11))
+
+
+@dataclass(frozen=True)
+class _Square:
+    """One norm component, the sum over `fields` of each field's square
+    integrated over every cell (against delta when weighted), as rows of
+    Gauss-sum products. Row r of a cell is its feature (1 for row 0 when
+    `one`, else a modal coefficient or the product of two) times the sum
+    over t of mult[r, t] * Sx[x[r, t]] * Sy[y[r, t]], Sx and Sy the
+    tables of _axis_sums; `features` gives each feature's index in
+    ErrorComputation's stack of them."""
+
+    weighted: bool
+    one: bool
+    features: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    mult: np.ndarray
+
+
+def _square(fields, weighted: bool, crosses: list) -> _Square:
+    """Expand the squares of `fields` into a _Square. Pairs of terms whose
+    plain integral vanishes by orthogonality are left out. The features are
+    indexed as ErrorComputation stacks them: the four modal coefficients,
+    their squares, then the products of two different ones in the order of
+    `crosses`, to which new ones are appended."""
+    rows = {}
+    for terms in fields:
+        for k, (x1, y1, c1) in enumerate(terms):
+            for m, (x2, y2, c2) in enumerate(terms[k:]):
+                if not weighted and any(
+                        (a in _CONSTANT and b == _P1) or (b in _CONSTANT and a == _P1)
+                        for a, b in ((x1, x2), (y1, y2))):
+                    continue
+                feature = tuple(sorted(c for c in (c1, c2) if c is not None))
+                rows.setdefault(feature, []).append((1 if m == 0 else 2, 9 * x1 + x2, 9 * y1 + y2))
+    order = sorted(rows, key=lambda f: (len(f), f))
+    crosses += [f for f in order if len(f) == 2 and f[0] != f[1] and f not in crosses]
+    index = [f[0] if len(f) == 1 else 4 + f[0] if f[0] == f[1] else 8 + crosses.index(f)
+             for f in order if f]
+    table = np.zeros((3, len(order), max(len(r) for r in rows.values())), dtype=int)
+    for r, f in enumerate(order):
+        table[:, r, :len(rows[f])] = np.array(rows[f]).T
+    return _Square(weighted=weighted, one=order[0] == (), features=np.array(index, dtype=int),
+                   x=table[1], y=table[2], mult=table[0].astype(float))
+
+
+def _squares(use_exact: bool):
+    """The gradient, L2 and streamline parts of the norms, and the products
+    of two different modal coefficients they weight; without the exact
+    solution the fields keep only xi's terms."""
+    e, e_x, e_y = (tuple(t for t in terms if use_exact or t[2] is not None)
+                   for terms in (_E, _E_X, _E_Y))
+    crosses = []
+    squares = (_square((e_x, e_y), False, crosses), _square((e,), False, crosses),
+               _square((e_x + e_y,), True, crosses))
+    return squares, crosses
+
+
+_SQUARES = {use_exact: _squares(use_exact) for use_exact in (True, False)}
+
+
+def _axis_sums(rule: QuadratureRule, mesh: ShishkinMesh2D, delta_field: DeltaField,
+               b: tuple, factors):
+    """Gauss sums over every cell of each axis of the products of two of the
+    per-axis functions (_F ... _P0), and the factors of u at the nodes.
+
+    The sums are two (2, N, 81) tables, [a, n, 9*m + k] holding the sum
+    over cell n of axis a (0 for x, 1 for y) of function m times function
+    k: one plain, one weighted by the axis's delta factor with every
+    derivative scaled by the axis's convection b[a]. The nodal values are
+    (2, N+1). Without the exact solution's factors (None) the functions of
+    u stay zero, and so do the nodal values."""
+    axes = (mesh.x_axis, mesh.y_axis)
+    N = mesh.N
+    t = rule.points
+    h = np.array([a.cell_width for a in axes])[:, :, None]
+    # the rule's abscissae in every cell, [axis, cell, point], computed as
+    # cell_points computes them, and their exact offsets
+    th = t * h
+    X = np.array([a.cell_left for a in axes])[:, :, None] + th
+    S = np.array([a.cell_sigma_left for a in axes])[:, :, None] - th
+    fun = np.zeros((2, N, 9, t.size))
+    nodal = np.zeros((2, N + 1))
+    if factors is not None:
+        for a, (axis, factor) in enumerate(zip(axes, factors)):
+            # one call on the abscissae and the nodes together
+            f, df = factor(np.concatenate((X[a].ravel(), axis.nodes)),
+                           np.concatenate((S[a].ravel(), axis.node_sigma)))
+            fun[a, :, _F], fun[a, :, _DF] = f[:X[a].size].reshape(N, -1), df[:X[a].size].reshape(N, -1)
+            nodal[a] = f[X[a].size:]
+        rise = (nodal[:, 1:] - nodal[:, :-1])[:, :, None]
+        np.add(nodal[:, :-1, None], t * rise, out=fun[:, :, _I])
+        np.divide(rise, h, out=fun[:, :, _DI])
+        np.subtract(fun[:, :, _F:_R], fun[:, :, _I:_P1], out=fun[:, :, _R:_I])
+    np.subtract(t, 0.5, out=fun[:, :, _P1])
+    np.divide(1.0, h, out=fun[:, :, _DP1])
+    fun[:, :, _P0] = 0.5
+    # delta's factors take cell_points' layout, [point, cell]
+    dx, dy = delta_field.axis_factors(mesh, slice(None), slice(None), X[0].T, X[1].T[:, :, None])
+    w = rule.weights * h
+    by_point = fun.transpose(0, 1, 3, 2)
+    plain = np.matmul(fun * w[:, :, None], by_point)
+    fun[:, :, _DF:_P0:2] *= np.reshape(b, (2, 1, 1, 1))  # the derivatives
+    w *= np.array([dx.reshape(-1, N).T, dy.reshape(-1, N).T])
+    weighted = np.matmul(fun * w[:, :, None], by_point)
+    return (plain.reshape(2, N, 81), weighted.reshape(2, N, 81)), nodal
+
+
 class ErrorComputation:
     """Per-cell norm contributions of u - u_h, computed once and aggregated
     over any region afterwards. With use_exact=False the norms of u_h itself
-    are computed (used for coercivity checks on discrete functions).
+    are computed (used for coercivity checks on discrete functions): xi
+    alone, with u_h in place of u^I - u_h.
 
-    The quadrature runs over row strips of cells (discretization.row_strips);
-    each cell's sums take the same operations in the same order whatever
-    the strip height."""
+    The contributions come from the interpolation split (module docstring)
+    with a Gauss rule of quad_order points per axis; xi's own terms are
+    polynomials that any rule of two or more points sums exactly."""
 
     def __init__(
         self,
@@ -98,36 +236,44 @@ class ErrorComputation:
             raise ValueError("quad_order must be >= 2")
         mesh = u_h.mesh
         self.mesh = mesh
+        N = mesh.N
         exact = problem.require_exact() if use_exact else None
 
-        corners = u_h.corner_values()
+        sums, nodal = _axis_sums(QuadratureRule.gauss(quad_order), mesh, delta_field,
+                                 (problem.b1, problem.b2),
+                                 None if exact is None else (exact.x_factor, exact.y_factor))
 
-        shape = (mesh.N, mesh.N)
-        grad2 = np.zeros(shape)
-        l2 = np.zeros(shape)
-        stab = np.zeros(shape)
-        rule = QuadratureRule.gauss(quad_order)
-        for rows in row_strips(mesh.N, quad_order**2):
-            c = [v[rows] for v in corners]
-            p = cell_points(mesh, rule, rows)
-            uh = p.value(c)
-            uh_x, uh_y = p.gradient(c)
-            if exact is not None:
-                e = np.asarray(exact.value(p.X, p.Y, p.SX, p.SY)) - uh
-                gx_ex, gy_ex = exact.gradient(p.X, p.Y, p.SX, p.SY)
-                ex = np.asarray(gx_ex) - uh_x
-                ey = np.asarray(gy_ex) - uh_y
-            else:
-                e, ex, ey = uh, uh_x, uh_y
-            grad2[rows] += point_sum(p.weight * (ex * ex + ey * ey))
-            l2[rows] += point_sum(p.weight * e * e)
-            conv = problem.b1 * ex + problem.b2 * ey
-            dx, dy = delta_field.axis_factors(mesh, rows, slice(None), p.X, p.Y)
-            stab[rows] += point_sum(p.weight * (dx * dy) * conv * conv)
+        # xi at the nodes, node (i, j) at [j, i] (-u_h without u, which the
+        # norms cannot tell from u_h), and on every cell its modal
+        # coefficients, then their products
+        d = np.multiply.outer(nodal[1], nodal[0]) - u_h.values.T
+        squares, crosses = _SQUARES[use_exact]
+        features = np.empty((8 + len(crosses), N, N))
+        s, t = d[:, 1:] + d[:, :-1], d[:, 1:] - d[:, :-1]
+        np.add(s[1:], s[:-1], out=features[_C00])
+        np.add(t[1:], t[:-1], out=features[_C10])
+        np.subtract(s[1:], s[:-1], out=features[_C01])
+        np.subtract(t[1:], t[:-1], out=features[_C11])
+        np.multiply(features[:4], features[:4], out=features[4:8])
+        for k, (a, b) in enumerate(crosses):
+            np.multiply(features[a], features[b], out=features[8 + k])
 
-        self.cell_eps_grad2 = problem.epsilon * grad2
-        self.cell_mu_l2 = problem.c * l2
-        self.cell_stab2 = stab
+        # delta vanishes outside Omega_s, the first N/2 rows and columns of
+        # cells, so the streamline part is summed there alone
+        parts = []
+        for sq, scale in zip(squares, (problem.epsilon, problem.c, 1.0)):
+            rows = cols = N // 2 if sq.weighted else N
+            x_sums, y_sums = sums[int(sq.weighted)]
+            H = np.matmul(y_sums[:rows, sq.y].transpose(1, 0, 2),
+                          (x_sums[:cols, sq.x] * (scale * sq.mult)).transpose(1, 2, 0))
+            part = np.einsum("kji,kji->ji", H[sq.one:], features[sq.features, :rows, :cols])
+            if sq.one:
+                part += H[0]
+            if part.shape != (N, N):
+                part, block = np.zeros((N, N)), part
+                part[:rows, :cols] = block
+            parts.append(part)
+        self.cell_eps_grad2, self.cell_mu_l2, self.cell_stab2 = parts
 
     def report(self, region: RegionSel = RegionSel.GLOBAL) -> ErrorReport:
         mask = self.mesh.region_mask(region)
@@ -146,11 +292,8 @@ class ErrorComputation:
 
 def sd_norm_discrete(u_h: DiscreteFunction, problem: ProblemSpec,
                      delta_field: DeltaField) -> float:
-    """SD norm of a discrete function itself (no exact solution involved),
-    with a 4-point Gauss rule per axis."""
-    comp = ErrorComputation(u_h, delta_field, problem, use_exact=False, quad_order=4)
-    r = comp.report(RegionSel.GLOBAL)
-    return r.sd_norm
+    """SD norm of a discrete function itself (no exact solution involved)."""
+    return ErrorComputation(u_h, delta_field, problem, use_exact=False).report().sd_norm
 
 
 def rate(e_coarse: float, e_fine: float) -> float:

@@ -51,10 +51,9 @@ LOCAL_NODES = ((0, 0), (1, 0), (1, 1), (0, 1))
 # layer exponentials, so the right-hand side takes the higher one
 MATRIX_ORDER, RHS_ORDER = 3, 5
 
-# (cell, point) pairs per row strip of the quadrature loops, and matrix
-# entries per block of the gather: a strip's or block's float64
-# temporaries take 512 KiB each
-STRIP_CELLS = 65536
+# matrix entries per block of the gather: a block's float64 temporaries
+# take 512 KiB each
+GATHER_BLOCK = 65536
 
 
 class QuadratureOrderTooLow(ValueError):
@@ -142,30 +141,13 @@ class CellPoint:
         return (c[0] * nx[0] * ny[0] + c[1] * nx[1] * ny[0]
                 + c[2] * nx[1] * ny[1] + c[3] * nx[0] * ny[1])
 
-    def gradient(self, c):
-        """Physical gradient of the same function. Corner differences are
-        taken first; they are exact for nearby values, the layer case."""
-        nx, ny = self.nx, self.ny
-        gx = ((c[1] - c[0]) * ny[0] + (c[2] - c[3]) * ny[1]) / self.WX
-        gy = ((c[3] - c[0]) * nx[0] + (c[2] - c[1]) * nx[1]) / self.WY
-        return gx, gy
-
 
 def point_sum(values: np.ndarray) -> np.ndarray:
     """Sum a (Qa, Qb, R, C) array over its points, one after the other in
     CellPoint order (ia outermost), as a per-point loop would. numpy adds
-    along the leading axis in order whenever R * C > 1, which every mesh
-    strip (N >= 4) and every block of class representatives (at least two
-    classes per axis) has."""
+    along the leading axis in order whenever R * C > 1, which every block
+    of class representatives (at least two classes per axis) has."""
     return np.add.reduce(values.reshape(-1, *values.shape[2:]), axis=0)
-
-
-def row_strips(N: int, points: int):
-    """Slices of consecutive cell rows covering rows 0..N-1, each of
-    STRIP_CELLS // (points * N) rows (at least one), so that a strip holds
-    about STRIP_CELLS (cell, point) pairs of a rule with `points` points."""
-    height = max(1, STRIP_CELLS // (points * N))
-    return [slice(j, min(j + height, N)) for j in range(0, N, height)]
 
 
 def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
@@ -344,7 +326,7 @@ def assemble_system(
     present = (inside[:, None, :, None] & inside[None, :, None, :]).reshape(9, m)
     # System dof c is the node of natural dof dofs[c] = (j-1)(N-1) + (i-1);
     # its column goes in the rows of its neighbours' system dofs. Blocks of
-    # columns of about STRIP_CELLS entries are gathered at a time, so no
+    # columns of about GATHER_BLOCK entries are gathered at a time, so no
     # temporary outgrows a block.
     dofs = nested_dissection(m)
     indptr = np.zeros(m + 1, dtype=np.int32)
@@ -354,7 +336,7 @@ def assemble_system(
     position[dofs] = np.arange(m, dtype=np.int32)
     offsets = np.arange(-1, 2, dtype=np.int32)
     shift = (offsets[:, None] * n + offsets).ravel()
-    width = max(1, STRIP_CELLS // 9)
+    width = max(1, GATHER_BLOCK // 9)
     for start in range(0, m, width):
         block = dofs[start:start + width]
         keep = present[:, block].T

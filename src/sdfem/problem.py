@@ -4,9 +4,11 @@ solutions.
 The source f is carried as x*y terms, f(x, y) = sum_t fx_t(x) * fy_t(y),
 so that the right-hand side assembly integrates each factor along its own
 axis (discretization.assemble_system); a user that needs f at a point adds
-the products itself. Each factor and the exact solution are vectorized
-callables that take the boundary offsets (sx, sy) = (1-x, 1-y) as
-first-class arguments, so layer-cell quadrature never forms 1-x by
+the products itself. An exact solution is carried the same way, as the
+product of an x and a y factor, so that the error norms integrate along
+each axis too (analysis.ErrorComputation). Every factor is a vectorized
+callable that takes the boundary offset (sx = 1-x or sy = 1-y) as a
+first-class argument, so layer-cell quadrature never forms 1-x by
 subtracting near-1 doubles.
 """
 from __future__ import annotations
@@ -23,8 +25,15 @@ class NoExactSolution(ValueError):
 
 @dataclass(frozen=True)
 class ExactSolution:
-    value: Callable  # (x, y, sx, sy) -> u
-    gradient: Callable  # (x, y, sx, sy) -> (u_x, u_y)
+    """A separable exact solution u(x, y) = gx(x) * gy(y), each factor given
+    with its first derivative."""
+
+    x_factor: Callable  # (x, sx) -> (gx, gx')
+    y_factor: Callable  # (y, sy) -> (gy, gy')
+
+    def value(self, x, y, sx, sy):
+        """u at (x, y), given the offsets sx = 1-x and sy = 1-y."""
+        return self.x_factor(x, sx)[0] * self.y_factor(y, sy)[0]
 
 
 @dataclass(frozen=True)
@@ -67,41 +76,42 @@ def make_benchmark(epsilon: float) -> ProblemSpec:
     """
     eps = float(epsilon)
 
-    # each factor from its coordinate and exact offset: its value, its first
-    # derivative and its part of the operator. A layer exponential that
-    # underflows to 0 is correct; 1 - e comes from expm1, which keeps it to an
-    # ulp where e is close to 1, deep in the layer
-    def g(x, sx):
+    # each factor from its coordinate and exact offset, as its value and first
+    # derivative, and separately its part of the operator. A layer
+    # exponential that underflows to 0 is correct; 1 - e comes from expm1,
+    # which keeps it to an ulp where e is close to 1, deep in the layer
+    def x_parts(x, sx):  # sin x, cos x, e_x and 1 - e_x
         t = -2.0 * np.asarray(sx, dtype=float) / eps
-        ex, om = np.exp(t), -np.expm1(t)  # e_x and 1 - e_x
-        sinx, cosx = np.sin(x), np.cos(x)
-        return (2.0 * sinx * om,
-                2.0 * cosx * om - (4.0 / eps) * sinx * ex,
-                (2.0 + 2.0 * eps) * sinx * om + 4.0 * cosx * (1.0 + ex))
+        return np.sin(x), np.cos(x), np.exp(t), -np.expm1(t)
+
+    def y_parts(sy):  # e_y and 1 - e_y
+        t = -np.asarray(sy, dtype=float) / eps
+        return np.exp(t), -np.expm1(t)
+
+    def g(x, sx):
+        sinx, cosx, ex, om = x_parts(x, sx)
+        return 2.0 * sinx * om, 2.0 * cosx * om - (4.0 / eps) * sinx * ex
+
+    def g_operator(x, sx):
+        sinx, cosx, ex, om = x_parts(x, sx)
+        return (2.0 + 2.0 * eps) * sinx * om + 4.0 * cosx * (1.0 + ex)
 
     def w(y, sy):
-        t = -np.asarray(sy, dtype=float) / eps
-        ey, om = np.exp(t), -np.expm1(t)  # e_y and 1 - e_y
-        return (y * y * om,
-                2.0 * y * om - (y * y / eps) * ey,
-                2.0 * y * (1.0 + ey) - 2.0 * eps * om)
+        ey, om = y_parts(sy)
+        return y * y * om, 2.0 * y * om - (y * y / eps) * ey
 
-    def value(x, y, sx, sy):
-        return g(x, sx)[0] * w(y, sy)[0]
-
-    def gradient(x, y, sx, sy):
-        gx, dgx, _ = g(x, sx)
-        wy, dwy, _ = w(y, sy)
-        return dgx * wy, gx * dwy
+    def w_operator(y, sy):
+        ey, om = y_parts(sy)
+        return 2.0 * y * (1.0 + ey) - 2.0 * eps * om
 
     return ProblemSpec(
         epsilon=eps,
         b1=2.0,
         b2=1.0,
         c=1.0,
-        f_terms=((lambda x, sx: g(x, sx)[2], lambda y, sy: w(y, sy)[0]),
-                 (lambda x, sx: g(x, sx)[0], lambda y, sy: w(y, sy)[2])),
-        exact=ExactSolution(value=value, gradient=gradient),
+        f_terms=((g_operator, lambda y, sy: w(y, sy)[0]),
+                 (lambda x, sx: g(x, sx)[0], w_operator)),
+        exact=ExactSolution(x_factor=g, y_factor=w),
         name="paper-benchmark",
     )
 

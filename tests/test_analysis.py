@@ -32,11 +32,9 @@ def bench(N=8, eps=1e-8):
 def bilinear_problem(eps=1e-2):
     """Problem whose exact solution x*y is reproduced exactly by the space."""
 
-    def value(x, y, sx, sy):
-        return np.asarray(x) * np.asarray(y)
-
-    def gradient(x, y, sx, sy):
-        return np.asarray(y) + 0.0 * np.asarray(x), np.asarray(x) + 0.0 * np.asarray(y)
+    def identity(t, st):  # the factor t and its derivative
+        t = np.asarray(t, dtype=float)
+        return t, np.ones_like(t)
 
     return ProblemSpec(
         epsilon=eps,
@@ -44,7 +42,7 @@ def bilinear_problem(eps=1e-2):
         b2=1.0,
         c=1.0,
         f_terms=((lambda x, sx: 0.0 * np.asarray(x), lambda y, sy: 0.0 * np.asarray(y)),),
-        exact=ExactSolution(value=value, gradient=gradient),
+        exact=ExactSolution(x_factor=identity, y_factor=identity),
         name="bilinear-synthetic",
     )
 

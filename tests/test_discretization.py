@@ -138,9 +138,9 @@ class TestRowStrips:
     @pytest.mark.parametrize("eps", [1e-8, 1e-16])
     @pytest.mark.parametrize("variant", list(DeltaVariant))
     def test_strip_height_invariance(self, monkeypatch, N, eps, variant):
-        # one row per strip for every rule, one row for 25 points, 5 rows
-        # for 25 points (which leaves a remainder) and the whole mesh give
-        # the same bytes
+        # gather blocks of N, 25 N, 125 N (which leaves a remainder) and
+        # 25 N^2 matrix entries give the same bytes, and so do the error
+        # norms' per-cell arrays and the grid
         p, m = bench(N=N, eps=eps)
         d = DeltaField(variant, 0.5)
         rng = np.random.default_rng(N)
@@ -162,23 +162,9 @@ class TestRowStrips:
 
         results = []
         for cells in (N, 25 * N, 125 * N, 25 * N * N):
-            monkeypatch.setattr(discretization, "STRIP_CELLS", cells)
+            monkeypatch.setattr(discretization, "GATHER_BLOCK", cells)
             results.append(outputs())
         assert results[0] == results[1] == results[2] == results[3]
-
-    def test_strip_heights(self, monkeypatch):
-        def spans(N, points):
-            return [(r.start, r.stop) for r in discretization.row_strips(N, points)]
-
-        monkeypatch.setattr(discretization, "STRIP_CELLS", 60)
-        assert spans(12, 1) == [(0, 5), (5, 10), (10, 12)]
-        assert spans(12, 9) == [(j, j + 1) for j in range(12)]
-        monkeypatch.undo()
-        # 65536 (cell, point) pairs: 227, 56, 20 and 5 rows
-        assert spans(32, 9) == [(0, 32)]
-        assert spans(128, 9) == [(0, 56), (56, 112), (112, 128)]
-        assert spans(128, 25) == [(j, min(j + 20, 128)) for j in range(0, 128, 20)]
-        assert spans(512, 25) == [(j, min(j + 5, 512)) for j in range(0, 512, 5)]
 
 
 class TestPointBatching:
@@ -194,40 +180,48 @@ class TestPointBatching:
 
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
-        # no field is evaluated once per point: assembly evaluates each
-        # factor of the source once, on the abscissae of every column or
-        # every row, and delta's factors three times: the matrix on every
-        # row and column for the class keys and on its block of class
-        # representatives, the right-hand side on every row and column.
-        # The error norms evaluate every field once per row strip.
-        calls = Counter()
+        # no field is evaluated once per point or per cell row: assembly
+        # evaluates each factor of the source once, on the abscissae of
+        # every column or every row, and delta's factors three times: the
+        # matrix on every row and column for the class keys and on its
+        # block of class representatives, the right-hand side on every row
+        # and column. The error norms evaluate each factor of u once, on
+        # the abscissae and the nodes of its axis together, and delta's
+        # factors once, whatever N; without u, only delta's.
+        calls, sizes = Counter(), Counter()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                sizes[name] += np.size(args[-1])
                 return fn(*args, **kwargs)
             return wrapper
 
         p, m = bench(N=N, eps=1e-8)
-        exact = ExactSolution(value=counted("value", p.exact.value),
-                              gradient=counted("gradient", p.exact.gradient))
+        exact = ExactSolution(x_factor=counted("gx", p.exact.x_factor),
+                              y_factor=counted("gy", p.exact.y_factor))
         terms = tuple((counted(f"fx{t}", fx), counted(f"fy{t}", fy))
                       for t, (fx, fy) in enumerate(p.f_terms))
         p = dataclasses.replace(p, f_terms=terms, exact=exact)
         monkeypatch.setattr(DeltaField, "axis_factors",
                             counted("delta", DeltaField.axis_factors))
         d = DeltaField(DeltaVariant.MODIFIED, 0.5)
-        u_h = interpolant(p, m)  # one nodal call of exact.value
-        strips = len(discretization.row_strips(N, 25))
-        assert strips == (1 if N == 8 else 103)
+        u_h = interpolant(p, m)  # one nodal call of each factor
 
         calls.clear()
         assemble_system(m, p, d)
         assert calls == {"fx0": 1, "fy0": 1, "fx1": 1, "fy1": 1, "delta": 3}
 
         calls.clear()
+        sizes.clear()
         ErrorComputation(u_h, d, p)
-        assert calls == {"value": strips, "gradient": strips, "delta": strips}
+        assert calls == {"gx": 1, "gy": 1, "delta": 1}
+        # five Gauss abscissae in each of the N cells, and the N + 1 nodes
+        assert sizes["gx"] == sizes["gy"] == 5 * N + N + 1
+
+        calls.clear()
+        ErrorComputation(u_h, d, p, use_exact=False)
+        assert calls == {"delta": 1}
 
 
 def assemble_counting_classes(monkeypatch, m, p, d):

@@ -37,13 +37,15 @@ class TestExactSolution:
         assert expected == pytest.approx(0.239713, abs=5e-7)
 
     def test_gradient_matches_finite_differences(self):
+        # the gradient (g' w, g w') from the factors' derivatives
         p = make_benchmark(0.1)
         exact = p.require_exact()
         rng = np.random.default_rng(7)
         d = 1e-6
         for _ in range(20):
             x, y = rng.uniform(0.1, 0.9, size=2)
-            gx, gy = exact.gradient(x, y, 1.0 - x, 1.0 - y)
+            (g, dg), (w, dw) = exact.x_factor(x, 1.0 - x), exact.y_factor(y, 1.0 - y)
+            gx, gy = dg * w, g * dw
             fdx = (u(p, x + d, y) - u(p, x - d, y)) / (2 * d)
             fdy = (u(p, x, y + d) - u(p, x, y - d)) / (2 * d)
             assert gx == pytest.approx(fdx, rel=1e-7, abs=1e-7)
