@@ -18,9 +18,11 @@ ENV = {"host": "h", "cpu": "c", "nproc": 2, "affinity": 2, "python": "3", "numpy
 
 def fake_run(walls, correct=True, tier1_code=1, case_code=0):
     """subprocess.run stand-in printing what perfbench/run.py prints, or
-    what bench.MEASURE prints around the tier-1 suite or the N=1024 case;
-    the wall time of each call comes from `walls` in turn."""
+    what bench.MEASURE prints around the tier-1 suite or the N=1024 case,
+    whose table it writes with stage times of k/10, ..., k/10 + 0.4 s for
+    its k-th run; the wall time of each call comes from `walls` in turn."""
     walls = iter(walls)
+    cases = iter(range(1, 100))
 
     def run(argv, cwd, capture_output, text, env=None):
         if argv[1] == "-c":
@@ -29,7 +31,10 @@ def fake_run(walls, correct=True, tier1_code=1, case_code=0):
                 out, code = "...F.\n3 failed, 173 passed in 17.10s\n", tier1_code
             else:
                 assert argv[4:-2] == bench.CASE_1024 and argv[-2] == "--out"
-                out, code = "wrote table.csv\n", case_code
+                k = next(cases)
+                entry = {stage: k / 10 + i / 10 for i, stage in enumerate(bench.STAGES)}
+                Path(argv[-1]).write_text(json.dumps({"metadata": {"solver": [entry]}}))
+                out, code = "wrote table.json\n", case_code
             m = {"returncode": code, "wall_s": next(walls), "peak_rss_kib": 870400}
             return subprocess.CompletedProcess(argv, 0, out + json.dumps(m) + "\n", "")
         assert argv[1:3] == ["perfbench/run.py", "--workload"] and argv[-2:] == ["--trace", "0"]
@@ -73,6 +78,11 @@ def test_medians_and_quartiles(monkeypatch, root):
     assert case["wall_s"]["values"] == [12.0, 11.0, 13.0, 10.0, 14.0]
     assert case["wall_s"]["median"] == 12.0
     assert case["peak_rss_mib"]["median"] == 850.0 and case["peak_rss_mib"]["unit"] == "MiB"
+    # the row's stage times, k/10 + i/10 for stage i of run k = 1..5
+    for i, stage in enumerate(bench.STAGES):
+        assert case[stage]["unit"] == "s"
+        assert case[stage]["values"] == pytest.approx([k / 10 + i / 10 for k in range(1, 6)])
+        assert case[stage]["median"] == pytest.approx(0.3 + i / 10)
 
 
 def test_wrong_outputs_write_nothing(monkeypatch, root):

@@ -23,8 +23,11 @@ PYTHONPATH=DIR/src and one BLAS thread:
   its wall time and pytest's passed and failed counts. Exit code 1 (some
   tests failed) is expected; any other non-zero code, or no count line,
   stops the script as above;
-- one `sdfem run --N 1024 --eps 1e-8` case in a fresh interpreter: its wall
-  time and its peak RSS. A non-zero exit stops the script.
+- one `sdfem run --N 1024 --eps 1e-8 --format json` case in a fresh
+  interpreter: its wall time, its peak RSS and the stage times of its
+  table row (`assemble_time`, `rhs_time`, `setup_time`, `solve_time` and
+  `error_time` of the table's `solver` entry). A non-zero exit stops the
+  script.
 
 Each of the two runs as the only child of a small interpreter that times
 it and reads its peak RSS from getrusage(RUSAGE_CHILDREN).
@@ -48,7 +51,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-CASE_1024 = ["-m", "sdfem.cli", "run", "--N", "1024", "--eps", "1e-8"]
+CASE_1024 = ["-m", "sdfem.cli", "run", "--N", "1024", "--eps", "1e-8", "--format", "json"]
+STAGES = ("assemble_time", "rhs_time", "setup_time", "solve_time", "error_time")
 
 # Runs the command in argv[1:] as its only child; its last stdout line is
 # the child's exit code, wall time and peak RSS.
@@ -109,12 +113,16 @@ def tier1_once(root: Path) -> dict:
 
 
 def case_1024_once(root: Path) -> dict:
-    """Wall time and peak RSS of one N=1024 case in a fresh interpreter."""
+    """Wall time, peak RSS and stage times of one N=1024 case in a fresh
+    interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
-        m, _ = measure(root, [*CASE_1024, "--out", str(Path(tmp) / "table.csv")])
-    if m["returncode"] != 0:
-        raise RunFailed(f"sdfem {' '.join(CASE_1024[2:])} exited {m['returncode']}")
-    return {"wall_s": m["wall_s"], "peak_rss_mib": m["peak_rss_kib"] / 1024}
+        table = Path(tmp) / "table.json"
+        m, _ = measure(root, [*CASE_1024, "--out", str(table)])
+        if m["returncode"] != 0:
+            raise RunFailed(f"sdfem {' '.join(CASE_1024[2:])} exited {m['returncode']}")
+        entry = json.loads(table.read_text())["metadata"]["solver"][0]
+    return {"wall_s": m["wall_s"], "peak_rss_mib": m["peak_rss_kib"] / 1024,
+            **{stage: entry[stage] for stage in STAGES}}
 
 
 def summarize(values: list[float]) -> dict:
@@ -183,6 +191,8 @@ def main(argv=None) -> int:
                 "wall_s": {"unit": "s", **summarize([r["wall_s"] for r in case_1024])},
                 "peak_rss_mib": {"unit": "MiB",
                                  **summarize([r["peak_rss_mib"] for r in case_1024])},
+                **{stage: {"unit": "s", **summarize([r[stage] for r in case_1024])}
+                   for stage in STAGES},
             },
         },
     }

@@ -21,7 +21,13 @@ The calls are:
   1e-4, 1e-8 and 1e-16 that admits a mesh, both deltas and C* of 0.5 and 4
   (116 cases), each as two lines: one hashing the matrix's `data`,
   `indices` and `indptr` with the dof order, one hashing the right-hand
-  side, so that any change to either shows up down to the last bit.
+  side, so that any change to either shows up down to the last bit;
+- `ErrorComputation` on the interpolant plus seeded noise (1e-3 times a
+  standard normal at every interior node, seeded by N), with `use_exact`
+  True and False, on every N of 8, 64 and 512, eps of 1e-4, 1e-8 and
+  1e-16, and delta (C* = 0.5): one line per case with the three
+  components of every region, so that the regions the tables do not print
+  are checked too.
 
 Each output line reads `<sha256>  <call> -> <output> (exit <code>)`. The
 line of a `run` table is followed by one line per table row, `norms  <call>
@@ -33,8 +39,11 @@ by rounding, the norm lines show by how much, to check against the 1e-12
 relative agreement that counts as the same result. An assembly case's
 lines read `<sha256>  matrix N=<N> eps=<eps> delta=<delta> cstar=<C*>`
 and the same with `rhs` for `matrix`, so a diff shows a matrix change
-apart from a right-hand side change. The whole set takes 24–27 s and 383 MiB of peak RSS on a 2-core
-host.
+apart from a right-hand side change. A region line reads `regions N=<N>
+eps=<eps> delta=<delta> exact=<use_exact>:` followed by `<region>=(<eg>,
+<ml>, <st>)` for every region, each component by its repr, to check
+against the same relative agreement. The whole set takes TIME and PEAK
+of peak RSS on a 2-core host.
 """
 import os
 
@@ -55,9 +64,12 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+
 from sdfem import cli  # noqa: E402
+from sdfem.analysis import DiscreteFunction, ErrorComputation, interpolant  # noqa: E402
 from sdfem.discretization import assemble_system  # noqa: E402
-from sdfem.mesh import AxisSpec, InvalidSpec, build_mesh  # noqa: E402
+from sdfem.mesh import AxisSpec, InvalidSpec, RegionSel, build_mesh  # noqa: E402
 from sdfem.problem import make_benchmark  # noqa: E402
 from sdfem.stabilization import DeltaField, DeltaVariant  # noqa: E402
 from workloads import WORKLOADS, calls  # noqa: E402
@@ -160,13 +172,31 @@ def assembly_lines() -> list[str]:
     return lines
 
 
+def region_lines() -> list[str]:
+    """One line per ErrorComputation case on a noisy interpolant: the three
+    components of every region, by repr."""
+    lines = []
+    for N, eps, variant, use_exact in itertools.product(
+            (8, 64, 512), (1e-4, 1e-8, 1e-16), DeltaVariant, (True, False)):
+        problem = make_benchmark(eps)
+        mesh = build_mesh(AxisSpec(N=N, epsilon=eps, beta=problem.b1),
+                          AxisSpec(N=N, epsilon=eps, beta=problem.b2))
+        values = interpolant(problem, mesh).values.copy()
+        values[1:-1, 1:-1] += 1e-3 * np.random.default_rng(N).standard_normal((N - 1, N - 1))
+        comp = ErrorComputation(DiscreteFunction(mesh=mesh, values=values),
+                                DeltaField(variant, 0.5), problem, use_exact=use_exact)
+        lines.append(f"regions N={N} eps={eps:g} delta={variant.value} exact={use_exact}: "
+                     + " ".join(f"{r.name}={comp.report(r).components!r}" for r in RegionSel))
+    return lines
+
+
 def main() -> int:
     argvs = [(*call.argv, "--out", f"DIR/{call.kind}.json")
              for workload in WORKLOADS for call in calls(workload, seed=0)]
     for argv in argvs + list(EXTRA_CALLS):
         for line in run(argv):
             print(line, flush=True)
-    for line in assembly_lines():
+    for line in assembly_lines() + region_lines():
         print(line, flush=True)
     return 0
 
