@@ -109,13 +109,13 @@ _E_Y = ((_R, _DF, None), (_I, _DR, None), (_P0, _DP1, _C01), (_P1, _DP1, _C11))
 
 @dataclass(frozen=True)
 class _Square:
-    """One norm component, the sum over `fields` of each field's square
+    """One norm component: the sum over some fields of each field's square,
     integrated over every cell (against delta when weighted), as rows of
-    Gauss-sum products. Row r of a cell is its feature (1 for row 0 when
-    `one`, else a modal coefficient or the product of two) times the sum
-    over t of mult[r, t] * Sx[x[r, t]] * Sy[y[r, t]], Sx and Sy the
-    tables of _axis_sums; `features` gives each feature's index in
-    ErrorComputation's stack of them."""
+    Gauss-sum products. Row r of a cell is a feature of xi (1 for row 0
+    when `one`, else a modal coefficient or the product of two) times the
+    sum over t of mult[r, t] * Sx[x[r, t]] * Sy[y[r, t]], Sx and Sy the
+    tables of _axis_sums; `features` gives the index of each row's feature
+    in ErrorComputation's stack of them."""
 
     weighted: bool
     one: bool
@@ -125,12 +125,12 @@ class _Square:
     mult: np.ndarray
 
 
-def _square(fields, weighted: bool, crosses: list) -> _Square:
-    """Expand the squares of `fields` into a _Square. Pairs of terms whose
-    plain integral vanishes by orthogonality are left out. The features are
-    indexed as ErrorComputation stacks them: the four modal coefficients,
-    their squares, then the products of two different ones in the order of
-    `crosses`, to which new ones are appended."""
+def _pairs(fields, weighted: bool) -> dict:
+    """The squares of `fields` expanded into pairs of terms and grouped by
+    the feature of xi a pair carries: () for two of eta's terms, (k,) for
+    one of eta's and xi's term k, (k, l) with k <= l for xi's terms k and
+    l; each pair as (multiplicity, x sum index, y sum index). Pairs whose
+    plain integral vanishes by orthogonality are left out."""
     rows = {}
     for terms in fields:
         for k, (x1, y1, c1) in enumerate(terms):
@@ -140,27 +140,31 @@ def _square(fields, weighted: bool, crosses: list) -> _Square:
                         for a, b in ((x1, x2), (y1, y2))):
                     continue
                 feature = tuple(sorted(c for c in (c1, c2) if c is not None))
-                rows.setdefault(feature, []).append((1 if m == 0 else 2, 9 * x1 + x2, 9 * y1 + y2))
-    order = sorted(rows, key=lambda f: (len(f), f))
-    crosses += [f for f in order if len(f) == 2 and f[0] != f[1] and f not in crosses]
-    index = [f[0] if len(f) == 1 else 4 + f[0] if f[0] == f[1] else 8 + crosses.index(f)
-             for f in order if f]
-    table = np.zeros((3, len(order), max(len(r) for r in rows.values())), dtype=int)
-    for r, f in enumerate(order):
-        table[:, r, :len(rows[f])] = np.array(rows[f]).T
-    return _Square(weighted=weighted, one=order[0] == (), features=np.array(index, dtype=int),
-                   x=table[1], y=table[2], mult=table[0].astype(float))
+                rows.setdefault(feature, []).append((2 if m else 1, 9 * x1 + x2, 9 * y1 + y2))
+    return rows
 
 
 def _squares(use_exact: bool):
     """The gradient, L2 and streamline parts of the norms, and the products
     of two different modal coefficients they weight; without the exact
-    solution the fields keep only xi's terms."""
+    solution the fields keep only xi's terms. The features are stacked as
+    the four modal coefficients, their squares, then those products."""
     e, e_x, e_y = (tuple(t for t in terms if use_exact or t[2] is not None)
                    for terms in (_E, _E_X, _E_Y))
-    crosses = []
-    squares = (_square((e_x, e_y), False, crosses), _square((e,), False, crosses),
-               _square((e_x + e_y,), True, crosses))
+    parts = (((e_x, e_y), False), ((e,), False), ((e_x + e_y,), True))
+    pairs = [_pairs(fields, weighted) for fields, weighted in parts]
+    features = [(k,) for k in range(4)] + [(k, k) for k in range(4)]
+    crosses = sorted({f for rows in pairs for f in rows if f not in features and f})
+    features += crosses
+    squares = []
+    for rows, (_, weighted) in zip(pairs, parts):
+        order = sorted(rows, key=lambda f: (len(f), f))
+        table = np.zeros((3, len(order), max(map(len, rows.values()))))
+        for r, f in enumerate(order):
+            table[:, r, :len(rows[f])] = np.transpose(rows[f])
+        squares.append(_Square(weighted=weighted, one=order[0] == (),
+                               features=np.array([features.index(f) for f in order if f]),
+                               x=table[1].astype(int), y=table[2].astype(int), mult=table[0]))
     return squares, crosses
 
 
