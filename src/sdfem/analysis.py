@@ -99,6 +99,16 @@ _CONSTANT = (_P0, _DI, _DP1)  # constant on a cell, so orthogonal to _P1
 # coefficients k = (kx, ky), with the halved Legendre polynomials above
 _C00, _C10, _C01, _C11 = range(4)
 
+# The features of xi the norms weight, as ErrorComputation stacks them: the
+# modal coefficients, their squares and products of two. With u, each part
+# of the norms weights one run of them (_Square.features): the L2 part the
+# first eight, the gradient part the six from the third on, the streamline
+# part all from the third on
+_STACK = ((_C00,), (_C00, _C00), (_C10,), (_C01,), (_C11,), (_C10, _C10), (_C01, _C01),
+          (_C11, _C11), (_C10, _C01), (_C10, _C11), (_C01, _C11))
+_MODAL = [_STACK.index((k,)) for k in range(4)]
+_PRODUCTS = [(k, _MODAL[f[0]], _MODAL[f[1]]) for k, f in enumerate(_STACK) if len(f) == 2]
+
 # e, e_x and e_y on a cell as x*y terms (x function, y function, weight);
 # the weight is the modal coefficient of xi the term carries, None for eta
 _E = ((_R, _F, None), (_I, _R, None), (_P0, _P0, _C00), (_P1, _P0, _C10),
@@ -112,14 +122,14 @@ class _Square:
     """One norm component: the sum over some fields of each field's square,
     integrated over every cell (against delta when weighted), as rows of
     Gauss-sum products. Row r of a cell is a feature of xi (1 for row 0
-    when `one`, else a modal coefficient or the product of two) times the
-    sum over t of mult[r, t] * Sx[x[r, t]] * Sy[y[r, t]], Sx and Sy the
-    tables of _axis_sums; `features` gives the index of each row's feature
-    in ErrorComputation's stack of them."""
+    when `one`, else one of _STACK) times the sum over t of mult[r, t] *
+    Sx[x[r, t]] * Sy[y[r, t]], Sx and Sy the tables of _axis_sums;
+    `features` indexes the rows' features in _STACK, as a slice where they
+    are one run."""
 
     weighted: bool
     one: bool
-    features: np.ndarray
+    features: slice | np.ndarray
     x: np.ndarray
     y: np.ndarray
     mult: np.ndarray
@@ -145,27 +155,24 @@ def _pairs(fields, weighted: bool) -> dict:
 
 
 def _squares(use_exact: bool):
-    """The gradient, L2 and streamline parts of the norms, and the products
-    of two different modal coefficients they weight; without the exact
-    solution the fields keep only xi's terms. The features are stacked as
-    the four modal coefficients, their squares, then those products."""
+    """The gradient, L2 and streamline parts of the norms; without the exact
+    solution the fields keep only xi's terms."""
     e, e_x, e_y = (tuple(t for t in terms if use_exact or t[2] is not None)
                    for terms in (_E, _E_X, _E_Y))
-    parts = (((e_x, e_y), False), ((e,), False), ((e_x + e_y,), True))
-    pairs = [_pairs(fields, weighted) for fields, weighted in parts]
-    features = [(k,) for k in range(4)] + [(k, k) for k in range(4)]
-    crosses = sorted({f for rows in pairs for f in rows if f not in features and f})
-    features += crosses
     squares = []
-    for rows, (_, weighted) in zip(pairs, parts):
-        order = sorted(rows, key=lambda f: (len(f), f))
+    for fields, weighted in (((e_x, e_y), False), ((e,), False), ((e_x + e_y,), True)):
+        rows = _pairs(fields, weighted)
+        order = sorted(rows, key=lambda f: -1 if f == () else _STACK.index(f))
         table = np.zeros((3, len(order), max(map(len, rows.values()))))
         for r, f in enumerate(order):
             table[:, r, :len(rows[f])] = np.transpose(rows[f])
+        index = [_STACK.index(f) for f in order if f]
+        run = slice(index[0], index[-1] + 1)
         squares.append(_Square(weighted=weighted, one=order[0] == (),
-                               features=np.array([features.index(f) for f in order if f]),
+                               features=run if index == list(range(run.start, run.stop))
+                               else np.array(index),
                                x=table[1].astype(int), y=table[2].astype(int), mult=table[0]))
-    return squares, crosses
+    return squares
 
 
 _SQUARES = {use_exact: _squares(use_exact) for use_exact in (True, False)}
@@ -218,6 +225,26 @@ def _axis_sums(rule: QuadratureRule, mesh: ShishkinMesh2D, delta_field: DeltaFie
     return (plain.reshape(2, N, 81), weighted.reshape(2, N, 81)), nodal
 
 
+def _cell_part(sq: _Square, scale: float, sums, features: np.ndarray) -> np.ndarray:
+    """scale times one part of the norms on every cell, from the x and y
+    Gauss-sum tables `sums` and the stacked features of xi. delta vanishes
+    outside Omega_s, the first N/2 rows and columns of cells, so the
+    streamline part is summed there alone."""
+    N = features.shape[-1]
+    n = N // 2 if sq.weighted else N
+    x_sums, y_sums = sums
+    H = np.matmul(y_sums[:n, sq.y].transpose(1, 0, 2),
+                  (x_sums[:n, sq.x] * (scale * sq.mult)).transpose(1, 2, 0))
+    part = np.einsum("kji,kji->ji", H[sq.one:], features[sq.features, :n, :n])
+    if sq.one:
+        part += H[0]
+    if n == N:
+        return part
+    whole = np.zeros((N, N))
+    whole[:n, :n] = part
+    return whole
+
+
 class ErrorComputation:
     """Per-cell norm contributions of u - u_h, computed once and aggregated
     over any region afterwards. With use_exact=False the norms of u_h itself
@@ -251,33 +278,20 @@ class ErrorComputation:
         # norms cannot tell from u_h), and on every cell its modal
         # coefficients, then their products
         d = np.multiply.outer(nodal[1], nodal[0]) - u_h.values.T
-        squares, crosses = _SQUARES[use_exact]
-        features = np.empty((8 + len(crosses), N, N))
+        features = np.empty((len(_STACK), N, N))
         s, t = d[:, 1:] + d[:, :-1], d[:, 1:] - d[:, :-1]
-        np.add(s[1:], s[:-1], out=features[_C00])
-        np.add(t[1:], t[:-1], out=features[_C10])
-        np.subtract(s[1:], s[:-1], out=features[_C01])
-        np.subtract(t[1:], t[:-1], out=features[_C11])
-        np.multiply(features[:4], features[:4], out=features[4:8])
-        for k, (a, b) in enumerate(crosses):
-            np.multiply(features[a], features[b], out=features[8 + k])
+        c00, c10, c01, c11 = (features[k] for k in _MODAL)
+        np.add(s[1:], s[:-1], out=c00)
+        np.add(t[1:], t[:-1], out=c10)
+        np.subtract(s[1:], s[:-1], out=c01)
+        np.subtract(t[1:], t[:-1], out=c11)
+        del d, s, t
+        for k, a, b in _PRODUCTS:
+            np.multiply(features[a], features[b], out=features[k])
 
-        # delta vanishes outside Omega_s, the first N/2 rows and columns of
-        # cells, so the streamline part is summed there alone
-        parts = []
-        for sq, scale in zip(squares, (problem.epsilon, problem.c, 1.0)):
-            rows = cols = N // 2 if sq.weighted else N
-            x_sums, y_sums = sums[int(sq.weighted)]
-            H = np.matmul(y_sums[:rows, sq.y].transpose(1, 0, 2),
-                          (x_sums[:cols, sq.x] * (scale * sq.mult)).transpose(1, 2, 0))
-            part = np.einsum("kji,kji->ji", H[sq.one:], features[sq.features, :rows, :cols])
-            if sq.one:
-                part += H[0]
-            if part.shape != (N, N):
-                part, block = np.zeros((N, N)), part
-                part[:rows, :cols] = block
-            parts.append(part)
-        self.cell_eps_grad2, self.cell_mu_l2, self.cell_stab2 = parts
+        self.cell_eps_grad2, self.cell_mu_l2, self.cell_stab2 = (
+            _cell_part(sq, scale, sums[int(sq.weighted)], features)
+            for sq, scale in zip(_SQUARES[use_exact], (problem.epsilon, problem.c, 1.0)))
 
     def report(self, region: RegionSel = RegionSel.GLOBAL) -> ErrorReport:
         mask = self.mesh.region_mask(region)
