@@ -15,11 +15,13 @@ x and in y. The error, its two derivatives and its streamline derivative
 are thus sums of x*y terms, and the integral over a cell of the product of
 two terms, weighted by delta = dx(x) * dy(y), is a Gauss sum along x times
 one along y. ErrorComputation evaluates each factor of u once, on the
-abscissae and the nodes of its axis together; takes the Gauss sums of every
-product of two per-axis functions in every cell; and sums each cell's
-norms as products of an x and a y sum, weighted by 1, by a modal
-coefficient or by the product of two. With the same Gauss rule per axis
-that is the cell's tensor Gauss rule, up to rounding.
+abscissae and the nodes of its axis together, and takes the Gauss sums of
+every product of two per-axis functions in every cell. Each part of the
+norms is then a list of rows, one per feature of xi that its pairs of
+terms carry (1, a modal coefficient or the product of two): a row's sum
+over its pairs of an x sum times a y sum, one matrix product over every
+cell, times its feature, added into the part. With the same Gauss rule per
+axis that is the cell's tensor Gauss rule, up to rounding.
 """
 from __future__ import annotations
 
@@ -99,15 +101,8 @@ _CONSTANT = (_P0, _DI, _DP1)  # constant on a cell, so orthogonal to _P1
 # coefficients k = (kx, ky), with the halved Legendre polynomials above
 _C00, _C10, _C01, _C11 = range(4)
 
-# The features of xi the norms weight, as ErrorComputation stacks them: the
-# modal coefficients, their squares and products of two. With u, each part
-# of the norms weights one run of them (_Square.features): the L2 part the
-# first eight, the gradient part the six from the third on, the streamline
-# part all from the third on
-_STACK = ((_C00,), (_C00, _C00), (_C10,), (_C01,), (_C11,), (_C10, _C10), (_C01, _C01),
-          (_C11, _C11), (_C10, _C01), (_C10, _C11), (_C01, _C11))
-_MODAL = [_STACK.index((k,)) for k in range(4)]
-_PRODUCTS = [(k, _MODAL[f[0]], _MODAL[f[1]]) for k, f in enumerate(_STACK) if len(f) == 2]
+# Gauss points per axis of the error norms
+ERROR_ORDER = 5
 
 # e, e_x and e_y on a cell as x*y terms (x function, y function, weight);
 # the weight is the modal coefficient of xi the term carries, None for eta
@@ -117,65 +112,40 @@ _E_X = ((_DR, _F, None), (_DI, _R, None), (_DP1, _P0, _C10), (_DP1, _P1, _C11))
 _E_Y = ((_R, _DF, None), (_I, _DR, None), (_P0, _DP1, _C01), (_P1, _DP1, _C11))
 
 
-@dataclass(frozen=True)
-class _Square:
-    """One norm component: the sum over some fields of each field's square,
-    integrated over every cell (against delta when weighted), as rows of
-    Gauss-sum products. Row r of a cell is a feature of xi (1 for row 0
-    when `one`, else one of _STACK) times the sum over t of mult[r, t] *
-    Sx[x[r, t]] * Sy[y[r, t]], Sx and Sy the tables of _axis_sums;
-    `features` indexes the rows' features in _STACK, as a slice where they
-    are one run."""
-
-    weighted: bool
-    one: bool
-    features: slice | np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    mult: np.ndarray
-
-
-def _pairs(fields, weighted: bool) -> dict:
-    """The squares of `fields` expanded into pairs of terms and grouped by
+def _parts(use_exact: bool):
+    """The gradient, L2 and streamline parts of the norms. Each is the sum
+    of the squares of some fields, expanded into pairs of terms, each pair
+    as (multiplicity, x sum index, y sum index), and grouped into rows by
     the feature of xi a pair carries: () for two of eta's terms, (k,) for
     one of eta's and xi's term k, (k, l) with k <= l for xi's terms k and
-    l; each pair as (multiplicity, x sum index, y sum index). Pairs whose
-    plain integral vanishes by orthogonality are left out."""
-    rows = {}
-    for terms in fields:
-        for k, (x1, y1, c1) in enumerate(terms):
-            for m, (x2, y2, c2) in enumerate(terms[k:]):
-                if not weighted and any(
-                        (a in _CONSTANT and b == _P1) or (b in _CONSTANT and a == _P1)
-                        for a, b in ((x1, x2), (y1, y2))):
-                    continue
-                feature = tuple(sorted(c for c in (c1, c2) if c is not None))
-                rows.setdefault(feature, []).append((2 if m else 1, 9 * x1 + x2, 9 * y1 + y2))
-    return rows
-
-
-def _squares(use_exact: bool):
-    """The gradient, L2 and streamline parts of the norms; without the exact
-    solution the fields keep only xi's terms."""
+    l. Pairs whose plain integral vanishes by orthogonality are left out;
+    without the exact solution the fields keep only xi's terms. A part is
+    whether delta weights it, the multiplicities, x and y sum indices of
+    its pairs, row after row, and its rows as (feature, slice of pairs)."""
     e, e_x, e_y = (tuple(t for t in terms if use_exact or t[2] is not None)
                    for terms in (_E, _E_X, _E_Y))
-    squares = []
+    parts = []
     for fields, weighted in (((e_x, e_y), False), ((e,), False), ((e_x + e_y,), True)):
-        rows = _pairs(fields, weighted)
-        order = sorted(rows, key=lambda f: -1 if f == () else _STACK.index(f))
-        table = np.zeros((3, len(order), max(map(len, rows.values()))))
-        for r, f in enumerate(order):
-            table[:, r, :len(rows[f])] = np.transpose(rows[f])
-        index = [_STACK.index(f) for f in order if f]
-        run = slice(index[0], index[-1] + 1)
-        squares.append(_Square(weighted=weighted, one=order[0] == (),
-                               features=run if index == list(range(run.start, run.stop))
-                               else np.array(index),
-                               x=table[1].astype(int), y=table[2].astype(int), mult=table[0]))
-    return squares
+        groups = {}
+        for terms in fields:
+            for k, (x1, y1, c1) in enumerate(terms):
+                for m, (x2, y2, c2) in enumerate(terms[k:]):
+                    if not weighted and any(
+                            (a in _CONSTANT and b == _P1) or (b in _CONSTANT and a == _P1)
+                            for a, b in ((x1, x2), (y1, y2))):
+                        continue
+                    feature = tuple(sorted(c for c in (c1, c2) if c is not None))
+                    groups.setdefault(feature, []).append(
+                        (2 if m else 1, 9 * x1 + x2, 9 * y1 + y2))
+        ends = np.cumsum([len(pairs) for pairs in groups.values()])
+        rows = [(feature, slice(end - len(pairs), end))
+                for (feature, pairs), end in zip(groups.items(), ends)]
+        mult, x, y = map(np.array, zip(*sum(groups.values(), [])))
+        parts.append((weighted, mult, x, y, rows))
+    return parts
 
 
-_SQUARES = {use_exact: _squares(use_exact) for use_exact in (True, False)}
+_PARTS = {use_exact: _parts(use_exact) for use_exact in (True, False)}
 
 
 def _axis_sums(rule: QuadratureRule, mesh: ShishkinMesh2D, delta_field: DeltaField,
@@ -225,23 +195,27 @@ def _axis_sums(rule: QuadratureRule, mesh: ShishkinMesh2D, delta_field: DeltaFie
     return (plain.reshape(2, N, 81), weighted.reshape(2, N, 81)), nodal
 
 
-def _cell_part(sq: _Square, scale: float, sums, features: np.ndarray) -> np.ndarray:
-    """scale times one part of the norms on every cell, from the x and y
-    Gauss-sum tables `sums` and the stacked features of xi. delta vanishes
-    outside Omega_s, the first N/2 rows and columns of cells, so the
-    streamline part is summed there alone."""
-    N = features.shape[-1]
-    n = N // 2 if sq.weighted else N
+def _cell_part(part, scale: float, sums, modal: np.ndarray, n: int) -> np.ndarray:
+    """scale times one part of the norms (of _parts) on every cell, from the
+    x and y Gauss-sum tables `sums` and the modal coefficients of xi, row by
+    row: the Gauss-sum products of the row's pairs on every cell, one n x T
+    by T x n matrix product, times its feature of xi, so that beside the
+    part only one row's products are held. Only the first n rows and columns
+    of cells are summed: delta vanishes outside Omega_s, the first N/2 of
+    each, so the streamline part is summed there alone."""
+    mult, x, y, rows = part
+    N = modal.shape[-1]
     x_sums, y_sums = sums
-    H = np.matmul(y_sums[:n, sq.y].transpose(1, 0, 2),
-                  (x_sums[:n, sq.x] * (scale * sq.mult)).transpose(1, 2, 0))
-    part = np.einsum("kji,kji->ji", H[sq.one:], features[sq.features, :n, :n])
-    if sq.one:
-        part += H[0]
-    if n == N:
-        return part
+    # the pairs' x and y sums on every cell, [pair, cell]
+    X = (x_sums[:n, x] * (scale * mult)).T.copy()
+    Y = y_sums[:n, y].T.copy()
     whole = np.zeros((N, N))
-    whole[:n, :n] = part
+    block = whole[:n, :n]
+    for feature, pairs in rows:
+        H = Y[pairs].T @ X[pairs]
+        for k in feature:
+            H *= modal[k, :n, :n]
+        block += H
     return whole
 
 
@@ -252,46 +226,36 @@ class ErrorComputation:
     alone, with u_h in place of u^I - u_h.
 
     The contributions come from the interpolation split (module docstring)
-    with a Gauss rule of quad_order points per axis; xi's own terms are
+    with a Gauss rule of ERROR_ORDER points per axis; xi's own terms are
     polynomials that any rule of two or more points sums exactly."""
 
-    def __init__(
-        self,
-        u_h: DiscreteFunction,
-        delta_field: DeltaField,
-        problem: ProblemSpec,
-        use_exact: bool = True,
-        quad_order: int = 5,
-    ):
-        if quad_order < 2:
-            raise ValueError("quad_order must be >= 2")
+    def __init__(self, u_h: DiscreteFunction, delta_field: DeltaField, problem: ProblemSpec,
+                 use_exact: bool = True):
         mesh = u_h.mesh
         self.mesh = mesh
         N = mesh.N
         exact = problem.require_exact() if use_exact else None
 
-        sums, nodal = _axis_sums(QuadratureRule.gauss(quad_order), mesh, delta_field,
+        sums, nodal = _axis_sums(QuadratureRule.gauss(ERROR_ORDER), mesh, delta_field,
                                  (problem.b1, problem.b2),
                                  None if exact is None else (exact.x_factor, exact.y_factor))
 
         # xi at the nodes, node (i, j) at [j, i] (-u_h without u, which the
         # norms cannot tell from u_h), and on every cell its modal
-        # coefficients, then their products
+        # coefficients
         d = np.multiply.outer(nodal[1], nodal[0]) - u_h.values.T
-        features = np.empty((len(_STACK), N, N))
+        modal = np.empty((4, N, N))
         s, t = d[:, 1:] + d[:, :-1], d[:, 1:] - d[:, :-1]
-        c00, c10, c01, c11 = (features[k] for k in _MODAL)
-        np.add(s[1:], s[:-1], out=c00)
-        np.add(t[1:], t[:-1], out=c10)
-        np.subtract(s[1:], s[:-1], out=c01)
-        np.subtract(t[1:], t[:-1], out=c11)
+        np.add(s[1:], s[:-1], out=modal[_C00])
+        np.add(t[1:], t[:-1], out=modal[_C10])
+        np.subtract(s[1:], s[:-1], out=modal[_C01])
+        np.subtract(t[1:], t[:-1], out=modal[_C11])
         del d, s, t
-        for k, a, b in _PRODUCTS:
-            np.multiply(features[a], features[b], out=features[k])
 
         self.cell_eps_grad2, self.cell_mu_l2, self.cell_stab2 = (
-            _cell_part(sq, scale, sums[int(sq.weighted)], features)
-            for sq, scale in zip(_SQUARES[use_exact], (problem.epsilon, problem.c, 1.0)))
+            _cell_part(part, scale, sums[weighted], modal, N // 2 if weighted else N)
+            for (weighted, *part), scale in zip(_PARTS[use_exact],
+                                                (problem.epsilon, problem.c, 1.0)))
 
     def report(self, region: RegionSel = RegionSel.GLOBAL) -> ErrorReport:
         mask = self.mesh.region_mask(region)

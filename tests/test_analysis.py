@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,12 +152,24 @@ class TestErrorNorms:
         rm = ErrorComputation(case.u_h, dm, p).report(RegionSel.OMEGA_S)
         assert rm.components[2] <= rs.components[2]
 
-    def test_low_quadrature_rejected(self, case_runner):
-        case = case_runner(8, 1e-8)
-        p, m = bench(N=8)
-        d = DeltaField(DeltaVariant.STANDARD, 0.5)
-        with pytest.raises(ValueError):
-            ErrorComputation(case.u_h, d, p, quad_order=1)
+    @pytest.mark.parametrize("use_exact", [True, False])
+    @pytest.mark.parametrize("variant", list(DeltaVariant))
+    def test_memory_budget(self, variant, use_exact):
+        # the parts are summed row by row, so beyond the per-axis tables
+        # and the three returned parts only xi's four modal coefficients
+        # and one row's products are held
+        p, m = bench(N=128, eps=1e-8)
+        u = interpolant(p, m).values.copy()
+        u[1:-1, 1:-1] += 1e-3 * np.random.default_rng(0).standard_normal((127, 127))
+        u_h = DiscreteFunction(mesh=m, values=u)
+        tracemalloc.start()
+        try:
+            comp = ErrorComputation(u_h, DeltaField(variant, 0.5), p, use_exact=use_exact)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (comp.cell_eps_grad2, comp.cell_mu_l2, comp.cell_stab2))
+        assert peak <= 6 * returned, peak / returned
 
 
 class TestRate:

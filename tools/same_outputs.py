@@ -1,6 +1,8 @@
-"""Print one sha256 line per output of a fixed set of `sdfem` CLI calls.
+"""Print one sha256 line per output of a fixed set of `sdfem` CLI calls,
+or compare two such listings.
 
     python3 tools/same_outputs.py > outputs.txt
+    python3 tools/same_outputs.py --compare old.txt new.txt
 
 Run it from any directory; it imports `sdfem` from the `src/` and the
 benchmark's workloads from the `perfbench/` of the checkout it lives in.
@@ -44,6 +46,17 @@ eps=<eps> delta=<delta> exact=<use_exact>:` followed by `<region>=(<eg>,
 <ml>, <st>)` for every region, each component by its repr, to check
 against the same relative agreement. The whole set takes about 20 s and
 384 MiB of peak RSS on a 2-core host.
+
+`--compare OLD NEW` reads two listings without running anything and
+prints how they differ: the matrix and RHS lines that differ, the table
+rows whose `iters=` changed, the worst relative gap of the norm lines of
+rows solved by LU (`iters=1`) and, apart, of GMRES rows, the worst
+relative gap of any region component, and any other sha256 line that
+differs or is in one listing only. The sha256 line of a run table is left
+out, since its norm lines cover it. It exits 1 on any such difference, or
+where a gap passes the bounds that count as the same result: 1e-12 for LU
+rows and regions, and 1e-10 for GMRES rows, whose norms move with the
+solver's tolerance.
 """
 import os
 
@@ -51,12 +64,15 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -76,6 +92,8 @@ from workloads import WORKLOADS, calls  # noqa: E402
 
 WALL_TIMES = ("setup_time", "assemble_time", "rhs_time", "solve_time", "error_time")
 NORMS = ("e_eps_global", "e_sd_global", "e_eps_omegas", "e_sd_omegas")
+# the largest relative gaps that count as the same result, by kind of line
+BOUNDS = {"LU rows": 1e-12, "GMRES rows": 1e-10, "regions": 1e-12}
 
 # calls beyond the benchmark's; DIR stands for the output directory
 EXTRA_CALLS = (
@@ -190,7 +208,78 @@ def region_lines() -> list[str]:
     return lines
 
 
-def main() -> int:
+def read_listing(path) -> dict:
+    """A listing's lines by key: a norm or region line's value is the text
+    after its first ': ', a sha256 line's value is its digest."""
+    lines = {}
+    for line in Path(path).read_text().splitlines():
+        if line.startswith(("norms  ", "regions ")):
+            key, _, value = line.partition(": ")
+        else:
+            value, _, key = line.partition("  ")
+        lines[key] = value
+    return lines
+
+
+def relative_gap(old, new) -> float:
+    """The worst relative gap between two lists of numbers; inf where their
+    lengths differ, an old value is zero or not finite, or a gap is not."""
+    if len(old) != len(new):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(map(float, old), map(float, new)):
+        if a != b:
+            worst = max(worst, abs(a - b) / abs(a) if a and math.isfinite(a - b) else math.inf)
+    return worst
+
+
+def compare(old_path, new_path) -> int:
+    """Print how two listings differ; 1 on any difference past the bounds."""
+    old, new = read_listing(old_path), read_listing(new_path)
+    # a run table's sha256 key is its norm lines' key up to the row's N
+    tables = {key.removeprefix("norms  ").rpartition(" N=")[0]
+              for key in old.keys() | new.keys() if key.startswith("norms  ")}
+    worst = dict.fromkeys(BOUNDS, 0.0)
+    counts = dict.fromkeys(BOUNDS, 0)
+    differ, hashed = [], 0
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a is None or b is None:
+            differ.append(f"only in {'NEW' if a is None else 'OLD'}: {key}")
+        elif key.startswith("norms  "):
+            *norms_a, iters_a = a.split()
+            *norms_b, iters_b = b.split()
+            if iters_a != iters_b:
+                differ.append(f"{iters_a} -> {iters_b}: {key}")
+            kind = "LU rows" if iters_a == "iters=1" else "GMRES rows"
+            worst[kind] = max(worst[kind], relative_gap(norms_a, norms_b))
+            counts[kind] += 1
+        elif key.startswith("regions "):
+            worst["regions"] = max(worst["regions"], relative_gap(
+                *(re.findall(r"[^(), ]+(?=[,)])", v) for v in (a, b))))
+            counts["regions"] += 1
+        elif key.rpartition(" (exit ")[0] not in tables:
+            hashed += 1
+            if a != b:
+                differ.append(f"differs: {key}")
+    print(f"sha256 lines: {hashed} compared, run tables left out")
+    for kind, bound in BOUNDS.items():
+        print(f"{kind}: worst relative gap {worst[kind]:.2g} over {counts[kind]} lines "
+              f"(bound {bound:g})")
+    for line in differ:
+        print(line)
+    same = not differ and all(worst[kind] <= bound for kind, bound in BOUNDS.items())
+    print("same" if same else "NOT the same")
+    return 0 if same else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Hash sdfem's outputs, or compare two listings.")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two listings instead of writing one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     argvs = [(*call.argv, "--out", f"DIR/{call.kind}.json")
              for workload in WORKLOADS for call in calls(workload, seed=0)]
     for argv in argvs + list(EXTRA_CALLS):
