@@ -16,21 +16,24 @@ are thus sums of x*y terms, and the integral over a cell of the product of
 two terms, weighted by delta = dx(x) * dy(y), is a Gauss sum along x times
 one along y. ErrorComputation evaluates each factor of u once, on the
 abscissae and the nodes of its axis together, and takes the Gauss sums of
-every product of two per-axis functions in every cell. Each part of the
-norms is then a list of rows, one per feature of xi that its pairs of
-terms carry (1, a modal coefficient or the product of two): a row's sum
-over its pairs of an x sum times a y sum, one matrix product over every
-cell, times its feature, added into the part. With the same Gauss rule per
-axis that is the cell's tensor Gauss rule, up to rounding.
+the products of two per-axis functions that the norms need in every cell
+from the per-axis kernel of discretization (AxisQuadrature.sums), which
+adds over the points in order, without BLAS. Each part of the norms is
+then a list of rows, one per feature of xi that its pairs of terms carry
+(1, a modal coefficient or the product of two): a row's sum over its
+pairs of an x sum times a y sum, one matrix product over every cell,
+times its feature, added into the part. With the same Gauss rule per axis
+that is the cell's tensor Gauss rule, up to rounding.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import QuadratureRule, cell_points
+from .discretization import AxisQuadrature, QuadratureRule, cell_points
 from .mesh import RegionSel, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
@@ -112,103 +115,91 @@ _E_X = ((_DR, _F, None), (_DI, _R, None), (_DP1, _P0, _C10), (_DP1, _P1, _C11))
 _E_Y = ((_R, _DF, None), (_I, _DR, None), (_P0, _DP1, _C01), (_P1, _DP1, _C11))
 
 
-def _parts(use_exact: bool):
-    """The gradient, L2 and streamline parts of the norms. Each is the sum
-    of the squares of some fields, expanded into pairs of terms, each pair
-    as (multiplicity, x sum index, y sum index), and grouped into rows by
-    the feature of xi a pair carries: () for two of eta's terms, (k,) for
-    one of eta's and xi's term k, (k, l) with k <= l for xi's terms k and
-    l. Pairs whose plain integral vanishes by orthogonality are left out;
-    without the exact solution the fields keep only xi's terms. A part is
-    whether delta weights it, the multiplicities, x and y sum indices of
-    its pairs, row after row, and its rows as (feature, slice of pairs)."""
-    e, e_x, e_y = (tuple(t for t in terms if use_exact or t[2] is not None)
-                   for terms in (_E, _E_X, _E_Y))
+@functools.lru_cache(maxsize=8)
+def _parts(use_exact: bool, b1: float, b2: float):
+    """The x and y lists of pairs (m, k), m <= k, of per-axis functions and
+    the gradient, L2 and streamline parts of the norms. Each part is the sum
+    of the squares of some fields, each a sum of weighted terms (b1 for
+    e_x's and b2 for e_y's in the streamline derivative, else 1), expanded
+    into pairs of terms, each pair as (multiplicity times its terms'
+    weights, x pair, y pair), an axis's pair by its position in its list,
+    and grouped into rows by the feature of xi a pair carries: () for two
+    of eta's terms, (k,) for one of eta's and xi's term k, (k, l) with
+    k <= l for xi's terms k and l. Pairs whose plain integral vanishes by
+    orthogonality are left out; without the exact solution the fields keep
+    only xi's terms. A part is whether delta weights it, the multiplicities,
+    x and y pair positions of its pairs, row after row, and its rows as
+    (feature, slice of pairs)."""
+    def field(*sums):  # the kept terms of (terms, weight) sums, each with its weight
+        return tuple((*t, w) for terms, w in sums for t in terms if use_exact or t[2] is not None)
+
+    axis_pairs = ({}, {})
     parts = []
-    for fields, weighted in (((e_x, e_y), False), ((e,), False), ((e_x + e_y,), True)):
+    for fields, weighted in (((field((_E_X, 1.0)), field((_E_Y, 1.0))), False),
+                             ((field((_E, 1.0)),), False),
+                             ((field((_E_X, b1), (_E_Y, b2)),), True)):
         groups = {}
         for terms in fields:
-            for k, (x1, y1, c1) in enumerate(terms):
-                for m, (x2, y2, c2) in enumerate(terms[k:]):
+            for k, (x1, y1, c1, w1) in enumerate(terms):
+                for m, (x2, y2, c2, w2) in enumerate(terms[k:]):
                     if not weighted and any(
                             (a in _CONSTANT and b == _P1) or (b in _CONSTANT and a == _P1)
                             for a, b in ((x1, x2), (y1, y2))):
                         continue
                     feature = tuple(sorted(c for c in (c1, c2) if c is not None))
-                    groups.setdefault(feature, []).append(
-                        (2 if m else 1, 9 * x1 + x2, 9 * y1 + y2))
+                    x, y = (pairs.setdefault(tuple(sorted(pair)), len(pairs)) for pairs, pair
+                            in zip(axis_pairs, ((x1, x2), (y1, y2))))
+                    groups.setdefault(feature, []).append(((2 if m else 1) * w1 * w2, x, y))
         ends = np.cumsum([len(pairs) for pairs in groups.values()])
         rows = [(feature, slice(end - len(pairs), end))
                 for (feature, pairs), end in zip(groups.items(), ends)]
         mult, x, y = map(np.array, zip(*sum(groups.values(), [])))
         parts.append((weighted, mult, x, y, rows))
-    return parts
+    return [np.array(list(pairs)) for pairs in axis_pairs], parts
 
 
-_PARTS = {use_exact: _parts(use_exact) for use_exact in (True, False)}
+def _axis_sums(mesh: ShishkinMesh2D, axis: int, delta_field: DeltaField, factor, pairs):
+    """The Gauss sums over every cell of axis `axis` (0 for x, 1 for y) of
+    the products of its pairs of per-axis functions (_F ... _P0), [pair,
+    cell], one plain and one weighted by delta's factor, and the factor of
+    u at the nodes. Without the exact solution's factor (None) the
+    functions of u stay zero, and so do the nodal values."""
+    q = AxisQuadrature(mesh, axis, QuadratureRule.gauss(ERROR_ORDER), delta_field)
+    line = (mesh.x_axis, mesh.y_axis)[axis]
+    t, h = q.rule.points[:, None], q.width
+    fun = np.zeros((t.size, 9, h.size))
+    nodal = np.zeros(h.size + 1)
+    if factor is not None:
+        # one call on the abscissae and the nodes together
+        f, df = factor(np.concatenate((q.X.ravel(), line.nodes)),
+                       np.concatenate((q.S.ravel(), line.node_sigma)))
+        fun[:, _F], fun[:, _DF] = (v[:q.X.size].reshape(q.X.shape) for v in (f, df))
+        nodal = f[q.X.size:]
+        rise = nodal[1:] - nodal[:-1]
+        fun[:, _I] = nodal[:-1] + t * rise
+        fun[:, _DI] = rise / h
+        np.subtract(fun[:, _F:_R], fun[:, _I:_P1], out=fun[:, _R:_I])
+    fun[:, _P1] = t - 0.5
+    fun[:, _DP1] = 1.0 / h
+    fun[:, _P0] = 0.5
+    plain, weighted = q.sums(fun, pairs)
+    return (plain * h, weighted * h), nodal
 
 
-def _axis_sums(rule: QuadratureRule, mesh: ShishkinMesh2D, delta_field: DeltaField,
-               b: tuple, factors):
-    """Gauss sums over every cell of each axis of the products of two of the
-    per-axis functions (_F ... _P0), and the factors of u at the nodes.
-
-    The sums are two (2, N, 81) tables, [a, n, 9*m + k] holding the sum
-    over cell n of axis a (0 for x, 1 for y) of function m times function
-    k: one plain, one weighted by the axis's delta factor with every
-    derivative scaled by the axis's convection b[a]. The nodal values are
-    (2, N+1). Without the exact solution's factors (None) the functions of
-    u stay zero, and so do the nodal values."""
-    axes = (mesh.x_axis, mesh.y_axis)
-    N = mesh.N
-    t = rule.points
-    h = np.array([a.cell_width for a in axes])[:, :, None]
-    # the rule's abscissae in every cell, [axis, cell, point], computed as
-    # cell_points computes them, and their exact offsets
-    th = t * h
-    X = np.array([a.cell_left for a in axes])[:, :, None] + th
-    S = np.array([a.cell_sigma_left for a in axes])[:, :, None] - th
-    fun = np.zeros((2, N, 9, t.size))
-    nodal = np.zeros((2, N + 1))
-    if factors is not None:
-        for a, (axis, factor) in enumerate(zip(axes, factors)):
-            # one call on the abscissae and the nodes together
-            f, df = factor(np.concatenate((X[a].ravel(), axis.nodes)),
-                           np.concatenate((S[a].ravel(), axis.node_sigma)))
-            fun[a, :, _F], fun[a, :, _DF] = f[:X[a].size].reshape(N, -1), df[:X[a].size].reshape(N, -1)
-            nodal[a] = f[X[a].size:]
-        rise = (nodal[:, 1:] - nodal[:, :-1])[:, :, None]
-        np.add(nodal[:, :-1, None], t * rise, out=fun[:, :, _I])
-        np.divide(rise, h, out=fun[:, :, _DI])
-        np.subtract(fun[:, :, _F:_R], fun[:, :, _I:_P1], out=fun[:, :, _R:_I])
-    np.subtract(t, 0.5, out=fun[:, :, _P1])
-    np.divide(1.0, h, out=fun[:, :, _DP1])
-    fun[:, :, _P0] = 0.5
-    # delta's factors take cell_points' layout, [point, cell]
-    dx, dy = delta_field.axis_factors(mesh, slice(None), slice(None), X[0].T, X[1].T[:, :, None])
-    w = rule.weights * h
-    by_point = fun.transpose(0, 1, 3, 2)
-    plain = np.matmul(fun * w[:, :, None], by_point)
-    fun[:, :, _DF:_P0:2] *= np.reshape(b, (2, 1, 1, 1))  # the derivatives
-    w *= np.array([dx.reshape(-1, N).T, dy.reshape(-1, N).T])
-    weighted = np.matmul(fun * w[:, :, None], by_point)
-    return (plain.reshape(2, N, 81), weighted.reshape(2, N, 81)), nodal
-
-
-def _cell_part(part, scale: float, sums, modal: np.ndarray, n: int) -> np.ndarray:
+def _cell_part(part, scale: float, tables, modal: np.ndarray, n: int) -> np.ndarray:
     """scale times one part of the norms (of _parts) on every cell, from the
-    x and y Gauss-sum tables `sums` and the modal coefficients of xi, row by
-    row: the Gauss-sum products of the row's pairs on every cell, one n x T
-    by T x n matrix product, times its feature of xi, so that beside the
-    part only one row's products are held. Only the first n rows and columns
-    of cells are summed: delta vanishes outside Omega_s, the first N/2 of
-    each, so the streamline part is summed there alone."""
+    x and y Gauss-sum tables [pair, cell] and the modal coefficients of xi,
+    row by row: the Gauss-sum products of the row's pairs on every cell, one
+    n x T by T x n matrix product, times its feature of xi, so that beside
+    the part only one row's products are held. Only the first n rows and
+    columns of cells are summed: delta vanishes outside Omega_s, the first
+    N/2 of each, so the streamline part is summed there alone."""
     mult, x, y, rows = part
     N = modal.shape[-1]
-    x_sums, y_sums = sums
+    x_table, y_table = tables
     # the pairs' x and y sums on every cell, [pair, cell]
-    X = (x_sums[:n, x] * (scale * mult)).T.copy()
-    Y = y_sums[:n, y].T.copy()
+    X = x_table[x, :n] * (scale * mult)[:, None]
+    Y = y_table[y, :n]
     whole = np.zeros((N, N))
     block = whole[:n, :n]
     for feature, pairs in rows:
@@ -236,14 +227,16 @@ class ErrorComputation:
         N = mesh.N
         exact = problem.require_exact() if use_exact else None
 
-        sums, nodal = _axis_sums(QuadratureRule.gauss(ERROR_ORDER), mesh, delta_field,
-                                 (problem.b1, problem.b2),
-                                 None if exact is None else (exact.x_factor, exact.y_factor))
+        axis_pairs, parts = _parts(use_exact, problem.b1, problem.b2)
+        factors = (None, None) if exact is None else (exact.x_factor, exact.y_factor)
+        (x_sums, nodal_x), (y_sums, nodal_y) = (
+            _axis_sums(mesh, axis, delta_field, factor, pairs)
+            for axis, (factor, pairs) in enumerate(zip(factors, axis_pairs)))
 
         # xi at the nodes, node (i, j) at [j, i] (-u_h without u, which the
         # norms cannot tell from u_h), and on every cell its modal
         # coefficients
-        d = np.multiply.outer(nodal[1], nodal[0]) - u_h.values.T
+        d = np.multiply.outer(nodal_y, nodal_x) - u_h.values.T
         modal = np.empty((4, N, N))
         s, t = d[:, 1:] + d[:, :-1], d[:, 1:] - d[:, :-1]
         np.add(s[1:], s[:-1], out=modal[_C00])
@@ -253,9 +246,9 @@ class ErrorComputation:
         del d, s, t
 
         self.cell_eps_grad2, self.cell_mu_l2, self.cell_stab2 = (
-            _cell_part(part, scale, sums[weighted], modal, N // 2 if weighted else N)
-            for (weighted, *part), scale in zip(_PARTS[use_exact],
-                                                (problem.epsilon, problem.c, 1.0)))
+            _cell_part(part, scale, (x_sums[weighted], y_sums[weighted]), modal,
+                       N // 2 if weighted else N)
+            for (weighted, *part), scale in zip(parts, (problem.epsilon, problem.c, 1.0)))
 
     def report(self, region: RegionSel = RegionSel.GLOBAL) -> ErrorReport:
         mask = self.mesh.region_mask(region)

@@ -1,6 +1,6 @@
-"""Q1 finite element machinery: the cell-point kernel (geometry and basis
-at reference points of a block of cell rows and columns), Gauss quadrature
-and assembly of the stabilized system.
+"""Q1 finite element machinery: the per-axis quadrature kernel, the
+cell-point kernel (geometry and basis at reference points of a block of
+cell rows and columns) and assembly of the stabilized system.
 
 The matrix is built from a table of cell classes. The coefficients are
 constants, so a cell's element matrix depends only on its two widths and on
@@ -25,10 +25,11 @@ The source is a sum of x*y terms (ProblemSpec.f_terms), and the basis
 functions, their gradients and delta are x*y products too, so the 5x5
 Gauss sum of each term against a test function factors into 5-point sums
 along each axis, and so does the sum over the four cells of a node. Each
-source factor is evaluated once, on the abscissae of every column or of
-every row, from the exact offsets of cell_points. Every node's load is
-then a sum of six products of an x and a y sum, added in a fixed order
-without BLAS, so the assembled system is bit-reproducible.
+source factor is evaluated once, on the abscissae of every cell of its
+axis, and AxisQuadrature.sums adds its products with the hat function's
+halves and derivative over the points in order. Every node's load is then
+a sum of six products of an x and a y sum, added in a fixed order; neither
+step uses BLAS, so the assembled system is bit-reproducible.
 """
 from __future__ import annotations
 
@@ -150,33 +151,57 @@ def point_sum(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(values.reshape(-1, *values.shape[2:]), axis=0)
 
 
+def axis_abscissae(axis, points: np.ndarray, cells=slice(None)):
+    """The reference points `points` of [0, 1] mapped into the cells `cells`
+    (a slice or an index array) of a mesh axis: the abscissae and their
+    exact offsets 1 - x, each [point, cell]. Only the axis's arrays are
+    indexed, so a cell gets the same operations in any block. Offsets come
+    from the exact cell offsets, not from 1 - x, so layer-cell points stay
+    distinct down to eps = 1e-16."""
+    step = points[:, None] * axis.cell_width[cells]
+    return axis.cell_left[cells] + step, axis.cell_sigma_left[cells] - step
+
+
 def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
                 rows=slice(None), cols=slice(None)) -> CellPoint:
     """Map the tensor points of `rule` into every cell of the cell rows
     `rows` and columns `cols` (slices or index arrays), all points of the
-    block in one CellPoint.
+    block in one CellPoint, from the abscissae of each axis."""
+    X, SX = axis_abscissae(mesh.x_axis, rule.points, cols)
+    Y, SY = axis_abscissae(mesh.y_axis, rule.points, rows)
+    WX, WY = mesh.x_axis.cell_width[None, cols], mesh.y_axis.cell_width[rows, None]
+    a, b = rule.points[:, None, None, None], rule.points[None, :, None, None]
+    return CellPoint(X=X[:, None, None, :], Y=Y[None, :, :, None],
+                     SX=SX[:, None, None, :], SY=SY[None, :, :, None], WX=WX, WY=WY,
+                     weight=np.multiply.outer(rule.weights, rule.weights)[:, :, None, None]
+                     * (WX * WY), nx=(1.0 - a, a), ny=(1.0 - b, b))
 
-    Only the per-axis arrays are indexed, so every cell gets the same
-    elementwise operations whatever block it falls in. Offsets come from
-    the exact cell offsets, not from 1 - X, so layer-cell points stay
-    distinct down to eps = 1e-16.
-    """
-    ax, ay = mesh.x_axis, mesh.y_axis
-    WX = ax.cell_width[None, cols]
-    WY = ay.cell_width[rows, None]
-    a = rule.points[:, None, None, None]
-    b = rule.points[None, :, None, None]
-    return CellPoint(
-        X=ax.cell_left[cols] + a * WX,
-        Y=ay.cell_left[rows, None] + b * WY,
-        SX=ax.cell_sigma_left[cols] - a * WX,
-        SY=ay.cell_sigma_left[rows, None] - b * WY,
-        WX=WX,
-        WY=WY,
-        weight=np.multiply.outer(rule.weights, rule.weights)[:, :, None, None] * (WX * WY),
-        nx=(1.0 - a, a),
-        ny=(1.0 - b, b),
-    )
+
+class AxisQuadrature:
+    """A 1-D rule in every cell of one mesh axis (0 for x, 1 for y): the rule,
+    the abscissae X and exact offsets S [point, cell] (axis_abscissae), the
+    cell widths and delta's factor along the axis (DeltaField.axis_factor)."""
+
+    def __init__(self, mesh: ShishkinMesh2D, axis: int, rule: QuadratureRule,
+                 delta_field: DeltaField):
+        line = (mesh.x_axis, mesh.y_axis)[axis]
+        self.rule = rule
+        self.X, self.S = axis_abscissae(line, rule.points)
+        self.width = line.cell_width
+        self.delta = delta_field.axis_factor(mesh, axis, self.X)
+
+    def sums(self, fun: np.ndarray, pairs):
+        """The Gauss sums over every cell of the products fun[:, m] *
+        fun[:, k], (m, k) in `pairs`, of per-axis functions at the
+        abscissae, fun [point, function, cell]: plain and weighted by
+        delta's factor, two [pair, cell] arrays of sums on the reference
+        cell (times the cell width, integrals). Each is (w * F)[* delta] * G
+        added over the points in order, without BLAS, so its bits do not
+        depend on the BLAS build."""
+        m, k = np.transpose(pairs)
+        wf = self.rule.weights[:, None, None] * fun
+        wfd, g = wf * self.delta[..., None, :], fun[:, k]
+        return np.add.reduce(wf[:, m] * g, axis=0), np.add.reduce(wfd[:, m] * g, axis=0)
 
 
 @functools.cache
@@ -227,7 +252,7 @@ def nested_dissection(m: int) -> np.ndarray:
 
 def _cell_classes(width: np.ndarray, factor: np.ndarray):
     """Classes of the N cells along one axis: cells whose width and delta
-    factor at each of the Q abscissae (factor is (Q, N), or (1, N) where it
+    factor at each of the Q abscissae (factor is (Q, N), or (N,) where it
     is constant on a cell) are bit-equal share a class. Returns (first,
     code): the first cell of each class and the class of every cell."""
     key = np.ascontiguousarray(np.column_stack((width, factor.T)))
@@ -235,27 +260,6 @@ def _cell_classes(width: np.ndarray, factor: np.ndarray):
     key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, code = np.unique(key, return_index=True, return_inverse=True)
     return first, code
-
-
-def _axis_loads(rule: QuadratureRule, width: np.ndarray, f: np.ndarray, delta: np.ndarray):
-    """Gauss sums along one axis of N cells for the right-hand side, for
-    each of T factors f of source terms and each interior node 1..N-1 of
-    the axis: the integrals of f and of f * delta against the node's 1-D
-    hat function, and of f * delta against the hat's derivative, each a
-    (T, N-1) array. The derivative's 1/width cancels the cell's width. f
-    stacks the T factors' values at the rule's abscissae of every cell, as
-    cell_points lays them out along the axis; delta is laid out alike or
-    holds one value per cell; width holds the N cell widths."""
-    T, q = len(f), rule.points.size
-    fw = rule.weights[:, None] * f.reshape(T, q, -1)
-    fwd = fw * delta.reshape(-1, width.size)
-    hats = ((1.0 - rule.points)[:, None], rule.points[:, None])  # left, right corner
-    mass = [np.add.reduce(fw * hat, axis=1) * width for hat in hats]
-    dmass = [np.add.reduce(fwd * hat, axis=1) * width for hat in hats]
-    slope = np.add.reduce(fwd, axis=1)
-    # node i is the right corner of cell i - 1 and the left one of cell i
-    return (mass[1][:, :-1] + mass[0][:, 1:], dmass[1][:, :-1] + dmass[0][:, 1:],
-            slope[:, :-1] - slope[:, 1:])
 
 
 def assemble_system(
@@ -279,21 +283,17 @@ def assemble_system(
     eps, b1, b2, c = problem.epsilon, problem.b1, problem.b2, problem.c
 
     # matrix: the classes, from the abscissae of every column and every row
-    # (blocks without rows or columns carry no weights)
     rule = QuadratureRule.gauss(MATRIX_ORDER)
-    dx, dy = delta_field.axis_factors(mesh, slice(None), slice(None),
-                                      cell_points(mesh, rule, rows=slice(0)).X,
-                                      cell_points(mesh, rule, cols=slice(0)).Y)
-    rep_cols, col_class = _cell_classes(mesh.x_axis.cell_width, dx.reshape(-1, N))
-    rep_rows, row_class = _cell_classes(mesh.y_axis.cell_width, dy.reshape(-1, N))
+    xq, yq = (AxisQuadrature(mesh, axis, rule, delta_field) for axis in (0, 1))
+    (rep_cols, col_class), (rep_rows, row_class) = (_cell_classes(q.width, q.delta)
+                                                    for q in (xq, yq))
 
     # element matrices of one representative cell per (row, column) class
     Aloc = np.zeros((4, 4, rep_rows.size, rep_cols.size))
     p = cell_points(mesh, rule, rep_rows, rep_cols)
     phi = p.phi
     gx, gy = p.basis_gradients()
-    dx, dy = delta_field.axis_factors(mesh, rep_rows, rep_cols, p.X, p.Y)
-    dv = dx * dy
+    dv = xq.delta[..., None, None, rep_cols] * yq.delta[..., rep_rows, None]
     conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
     resid = [conv[l] + c * phi[l] for l in range(4)]
     for k in range(4):
@@ -352,16 +352,28 @@ def assemble_system(
     # and b2*delta*d/dy parts
     started = time.perf_counter()
     rule = QuadratureRule.gauss(RHS_ORDER)
-    px, py = cell_points(mesh, rule, rows=slice(0)), cell_points(mesh, rule, cols=slice(0))
-    dx, dy = delta_field.axis_factors(mesh, slice(None), slice(None), px.X, py.Y)
-    x_factors = np.array([fx(px.X, px.SX) for fx, _ in problem.f_terms])
-    y_factors = np.array([fy(py.Y, py.SY) for _, fy in problem.f_terms])
-    mass, dmass, slope = _axis_loads(rule, mesh.x_axis.cell_width, x_factors, dx)
-    x_loads = np.concatenate([mass, b1 * slope, dmass])
-    mass, dmass, slope = _axis_loads(rule, mesh.y_axis.cell_width, y_factors, dy)
-    y_loads = np.concatenate([mass, dmass, b2 * slope])
+    t = rule.points[:, None]
+    loads = []
+    for axis, factors in enumerate(zip(*problem.f_terms)):
+        q = AxisQuadrature(mesh, axis, rule, delta_field)
+        # each factor against the hat's halves 1 - t and t and, weighted,
+        # its derivative, whose 1/width cancels the cell's width
+        T = len(factors)
+        fun = np.empty((t.size, T + 3, N))
+        fun[:, T], fun[:, T + 1], fun[:, T + 2] = 1.0 - t, t, 1.0
+        for i, f in enumerate(factors):
+            fun[:, i] = f(q.X, q.S)
+        plain, weighted = (s.reshape(T, 3, N) for s in
+                           q.sums(fun, [(i, T + h) for i in range(T) for h in range(3)]))
+        mass, dmass = plain[:, :2] * q.width, weighted[:, :2] * q.width
+        slope = weighted[:, 2]
+        # node i is the right corner of cell i - 1 and the left one of cell i
+        loads.append((mass[:, 1, :-1] + mass[:, 0, 1:], dmass[:, 1, :-1] + dmass[:, 0, 1:],
+                      (b1, b2)[axis] * (slope[:, :-1] - slope[:, 1:])))
+    (mass, dmass, slope), (y_mass, y_dmass, y_slope) = loads
     # summed in a fixed order, without BLAS, so the bits do not depend on its build
-    F = np.einsum("qj,qi->ji", y_loads, x_loads, optimize=False)
+    F = np.einsum("qj,qi->ji", np.concatenate([y_mass, y_dmass, y_slope]),
+                  np.concatenate([mass, slope, dmass]), optimize=False)
     rhs_time = time.perf_counter() - started
 
     return SparseSystem(matrix=A, rhs=F.ravel()[dofs], dofs=dofs, rhs_time=rhs_time)

@@ -31,28 +31,22 @@ class DeltaField:
         if not 0.0 < self.c_star < math.inf:
             raise ValueError(f"c_star must be finite and positive, got {self.c_star}")
 
-    def axis_factors(self, mesh: ShishkinMesh2D, rows, cols, X: np.ndarray,
-                     Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The x and y factors (dx, dy) of delta = dx * dy on the cells of
-        the rows `rows` and columns `cols` of `mesh`, at that block's
-        cell_points abscissae X and Y: dx broadcasts like X, dy like Y.
+    def axis_factor(self, mesh: ShishkinMesh2D, axis: int, X: np.ndarray) -> np.ndarray:
+        """The factor of delta along axis `axis` of `mesh` (0 for x, whose
+        factor carries C*/N, 1 for y) on every cell of the axis, at the
+        abscissae X [point, cell]: like X, or (N,) where constant on a cell.
 
-        Omega_s membership comes from each axis's cell kinds, never from a
+        Omega_s membership comes from the axis's cell kinds, never from a
         coordinate. For very small eps the layer cell widths drop below one
         ulp of 1.0, so quadrature abscissae in the first layer cell round
         onto the transition point and a coordinate test would switch the
         stabilization on inside the layer.
         """
-        ax, ay = mesh.x_axis, mesh.y_axis
-        col_in_s = ax.cell_kind[cols] != FINE
-        row_in_s = ay.cell_kind[rows, None] != FINE
-        base = self.c_star / mesh.N
-        if self.variant is DeltaVariant.STANDARD:
-            return np.where(col_in_s, base, 0.0), np.where(row_in_s, 1.0, 0.0)
-        xi = np.clip((ax.transition_point - X) / ax.H, 0.0, 1.0)
-        eta = np.clip((ay.transition_point - Y) / ay.H, 0.0, 1.0)
-        return np.where(col_in_s, base * xi, 0.0), np.where(row_in_s, eta, 0.0)
-
+        line = (mesh.x_axis, mesh.y_axis)[axis]
+        scale = self.c_star / mesh.N if axis == 0 else 1.0
+        if self.variant is DeltaVariant.MODIFIED:
+            scale = scale * np.clip((line.transition_point - X) / line.H, 0.0, 1.0)
+        return np.where(line.cell_kind != FINE, scale, 0.0)
 
 def admissible_cstar(problem, mesh: ShishkinMesh2D) -> float:
     """Largest C* for which the sufficient coercivity condition holds.

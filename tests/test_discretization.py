@@ -178,22 +178,48 @@ class TestPointBatching:
                 expect += values[ia, ib]
         assert np.array_equal(0.0 + discretization.point_sum(values), expect)
 
+    def test_axis_sums_add_in_point_order(self):
+        # the per-point loop the kernel stands for: zero, then each point's
+        # (w * F)[* delta] * G in order; the right-hand side's bits rest on it
+        rng = np.random.default_rng(7)
+        N, Q = 10, 5
+
+        def scaled(*shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+        _, m = bench(N=N, eps=1e-4)
+        rule = QuadratureRule(points=QuadratureRule.gauss(Q).points, weights=scaled(Q))
+        q = discretization.AxisQuadrature(m, 0, rule, DeltaField(DeltaVariant.MODIFIED, 0.5))
+        q.delta = scaled(Q, N)
+        fun = scaled(Q, 4, N)
+        pairs = [(0, 0), (0, 3), (2, 1), (3, 2)]
+        plain, weighted = q.sums(fun, pairs)
+        for r, (mm, k) in enumerate(pairs):
+            expect_plain, expect_weighted = np.zeros(N), np.zeros(N)
+            for a in range(Q):
+                wf = rule.weights[a] * fun[a, mm]
+                expect_plain += wf * fun[a, k]
+                expect_weighted += wf * q.delta[a] * fun[a, k]
+            assert np.array_equal(plain[r], expect_plain)
+            assert np.array_equal(weighted[r], expect_weighted)
+
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
         # no field is evaluated once per point or per cell row: assembly
         # evaluates each factor of the source once, on the abscissae of
-        # every column or every row, and delta's factors three times: the
-        # matrix on every row and column for the class keys and on its
-        # block of class representatives, the right-hand side on every row
-        # and column. The error norms evaluate each factor of u once, on
-        # the abscissae and the nodes of its axis together, and delta's
+        # every cell of its axis, and each of delta's factors twice: the
+        # matrix's on every cell for the class keys (its class
+        # representatives take theirs from those), the right-hand side's on
+        # every cell. The error norms evaluate each factor of u once, on the
+        # abscissae and the nodes of its axis together, and each of delta's
         # factors once, whatever N; without u, only delta's.
         calls, sizes = Counter(), Counter()
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                sizes[name] += np.size(args[-1])
+                key = f"{name}{args[2]}" if name == "delta" else name
+                calls[key] += 1
+                sizes[key] += np.size(args[-1])
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -203,25 +229,30 @@ class TestPointBatching:
         terms = tuple((counted(f"fx{t}", fx), counted(f"fy{t}", fy))
                       for t, (fx, fy) in enumerate(p.f_terms))
         p = dataclasses.replace(p, f_terms=terms, exact=exact)
-        monkeypatch.setattr(DeltaField, "axis_factors",
-                            counted("delta", DeltaField.axis_factors))
+        monkeypatch.setattr(DeltaField, "axis_factor",
+                            counted("delta", DeltaField.axis_factor))
         d = DeltaField(DeltaVariant.MODIFIED, 0.5)
         u_h = interpolant(p, m)  # one nodal call of each factor
 
         calls.clear()
+        sizes.clear()
         assemble_system(m, p, d)
-        assert calls == {"fx0": 1, "fy0": 1, "fx1": 1, "fy1": 1, "delta": 3}
+        assert calls == {"fx0": 1, "fy0": 1, "fx1": 1, "fy1": 1, "delta0": 2, "delta1": 2}
+        # the matrix's three Gauss abscissae and the right-hand side's five
+        # in each of the N cells
+        assert sizes["fx0"] == sizes["fy1"] == 5 * N
+        assert sizes["delta0"] == sizes["delta1"] == 3 * N + 5 * N
 
         calls.clear()
         sizes.clear()
         ErrorComputation(u_h, d, p)
-        assert calls == {"gx": 1, "gy": 1, "delta": 1}
+        assert calls == {"gx": 1, "gy": 1, "delta0": 1, "delta1": 1}
         # five Gauss abscissae in each of the N cells, and the N + 1 nodes
         assert sizes["gx"] == sizes["gy"] == 5 * N + N + 1
 
         calls.clear()
         ErrorComputation(u_h, d, p, use_exact=False)
-        assert calls == {"delta": 1}
+        assert calls == {"delta0": 1, "delta1": 1}
 
 
 def assemble_counting_classes(monkeypatch, m, p, d):

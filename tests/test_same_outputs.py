@@ -3,7 +3,6 @@ import importlib.util
 import os
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -36,15 +35,24 @@ BREAKS = {
 }
 
 
+def load():
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  ROOT / "tools" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="module")
 def same_outputs():
-    # the script sets its BLAS threads and its import path for itself
-    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
-        spec = importlib.util.spec_from_file_location("same_outputs",
-                                                      ROOT / "tools" / "same_outputs.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
+    return load()
+
+
+def test_import_leaves_threads_and_path_alone():
+    # only the listing sets its BLAS threads and import path
+    environ, path = dict(os.environ), list(sys.path)
+    load()
+    assert dict(os.environ) == environ and sys.path == path
 
 
 def compare(same_outputs, tmp_path, new):

@@ -20,16 +20,18 @@ def bench(N=8, eps=1e-8):
 def delta_on_omega_s(d, m, x, y):
     """delta at the points (x, y) taken as points of cell (0, 0), which
     lies inside Omega_s."""
-    x, y = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    dx, dy = d.axis_factors(m, [0], [0], x, y)
-    return np.broadcast_to(dx * dy, (1, x.size))[0]
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    dx, dy = (d.axis_factor(m, axis, np.repeat(v[:, None], m.N, axis=1))[..., 0]
+              for axis, v in enumerate((x, y)))
+    return np.broadcast_to(dx * dy, x.shape)
 
 
 def delta_on_cells(d, m, rule):
     """delta at every point of `rule` in every cell, (Qa, Qb, N, N)."""
     p = cell_points(m, rule)
-    dx, dy = d.axis_factors(m, slice(None), slice(None), p.X, p.Y)
-    return np.broadcast_to(dx * dy, p.weight.shape)
+    dx = d.axis_factor(m, 0, p.X[:, 0, 0])
+    dy = d.axis_factor(m, 1, p.Y[0, :, :, 0])
+    return np.broadcast_to(dx[..., None, None, :] * dy[..., :, None], p.weight.shape)
 
 
 class TestRamps:
@@ -99,24 +101,23 @@ class TestVectorizedEvaluation:
         # the same abscissa taken as a point of a coarse and of a fine column
         _, m = bench(N=8)
         d = DeltaField(DeltaVariant.STANDARD, 0.5)
-        x = np.array([0.5, 0.5])
-        y = np.array([[0.5]])
-        dx, dy = d.axis_factors(m, [0], [0, m.N - 1], x, y)
-        vals = (dx * dy).ravel()
-        assert vals[0] == 0.0625
-        assert vals[1] == 0.0
+        x = np.full((1, m.N), 0.5)
+        dx = np.broadcast_to(d.axis_factor(m, 0, x), x.shape)[0]
+        assert dx[0] == 0.0625
+        assert dx[m.N - 1] == 0.0
 
     def test_cellwise_immune_to_sub_ulp_layers(self):
         # at eps = 1e-16 layer cell widths are below one ulp of 1.0, so the
         # quadrature abscissae of the first layer cell round onto x_t; the
         # cell-driven form must still return zero there
         _, m = bench(N=64, eps=1e-16)
-        d = DeltaField(DeltaVariant.STANDARD, 0.5)
-        layer = [m.N // 2]
-        p = cell_points(m, QuadratureRule.gauss(3), rows=[0], cols=layer)
-        assert np.all(p.X == m.x_axis.transition_point)  # rounded abscissae of the layer-cell points
-        dx, dy = d.axis_factors(m, [0], layer, p.X, p.Y)
-        assert not (dx * dy).any()
+        layer = m.N // 2
+        X = cell_points(m, QuadratureRule.gauss(3)).X[:, 0, 0]
+        # the rounded abscissae of the layer-cell points
+        assert np.all(X[:, layer] == m.x_axis.transition_point)
+        for variant in DeltaVariant:
+            dx = DeltaField(variant, 0.5).axis_factor(m, 0, X)
+            assert not np.broadcast_to(dx, X.shape)[:, layer].any()
 
     def test_matches_pointwise_on_omega_s(self):
         _, m = bench(N=8, eps=1e-4)

@@ -58,37 +58,21 @@ where a gap passes the bounds that count as the same result: 1e-12 for LU
 rows and regions, and 1e-10 for GMRES rows, whose norms move with the
 solver's tolerance.
 """
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import itertools
+import json
+import math
 import os
-
-# one BLAS thread, as the benchmark runs; set before numpy is imported
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import csv  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import itertools  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import re  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import numpy as np  # noqa: E402
-
-from sdfem import cli  # noqa: E402
-from sdfem.analysis import DiscreteFunction, ErrorComputation, interpolant  # noqa: E402
-from sdfem.discretization import assemble_system  # noqa: E402
-from sdfem.mesh import AxisSpec, InvalidSpec, RegionSel, build_mesh  # noqa: E402
-from sdfem.problem import make_benchmark  # noqa: E402
-from sdfem.stabilization import DeltaField, DeltaVariant  # noqa: E402
-from workloads import WORKLOADS, calls  # noqa: E402
 
 WALL_TIMES = ("setup_time", "assemble_time", "rhs_time", "solve_time", "error_time")
 NORMS = ("e_eps_global", "e_sd_global", "e_eps_omegas", "e_sd_omegas")
@@ -144,6 +128,8 @@ def run(argv) -> list[str]:
     """Run one CLI call in a fresh directory; one line per output file, and
     one for stdout when the call writes no file. Each line of a run table is
     followed by one line per table row."""
+    from sdfem import cli
+
     label = " ".join(argv)
     with tempfile.TemporaryDirectory() as tmp:
         stdout = io.StringIO()
@@ -168,6 +154,11 @@ def assembly_lines() -> list[str]:
     """Two lines per assemble_system case, hashing the system's matrix
     with its dof order and its right-hand side; a case is taken where its
     eps admits a mesh at its N."""
+    from sdfem.discretization import assemble_system
+    from sdfem.mesh import AxisSpec, InvalidSpec, build_mesh
+    from sdfem.problem import make_benchmark
+    from sdfem.stabilization import DeltaField, DeltaVariant
+
     lines = []
     for N, eps, variant, c_star in itertools.product(
             (4, 8, 16, 32, 64, 128, 256, 512), (1e-2, 1e-4, 1e-8, 1e-16),
@@ -193,6 +184,13 @@ def assembly_lines() -> list[str]:
 def region_lines() -> list[str]:
     """One line per ErrorComputation case on a noisy interpolant: the three
     components of every region, by repr."""
+    import numpy as np
+
+    from sdfem.analysis import DiscreteFunction, ErrorComputation, interpolant
+    from sdfem.mesh import AxisSpec, RegionSel, build_mesh
+    from sdfem.problem import make_benchmark
+    from sdfem.stabilization import DeltaField, DeltaVariant
+
     lines = []
     for N, eps, variant, use_exact in itertools.product(
             (8, 64, 512), (1e-4, 1e-8, 1e-16), DeltaVariant, (True, False)):
@@ -280,6 +278,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    # one BLAS thread, as the benchmark runs, set before numpy is first
+    # imported; sdfem and the workloads from this checkout
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS, calls
+
     argvs = [(*call.argv, "--out", f"DIR/{call.kind}.json")
              for workload in WORKLOADS for call in calls(workload, seed=0)]
     for argv in argvs + list(EXTRA_CALLS):
