@@ -165,14 +165,13 @@ def _axis_sums(mesh: ShishkinMesh2D, axis: int, delta_field: DeltaField, factor,
     u at the nodes. Without the exact solution's factor (None) the
     functions of u stay zero, and so do the nodal values."""
     q = AxisQuadrature(mesh, axis, QuadratureRule.gauss(ERROR_ORDER), delta_field)
-    line = (mesh.x_axis, mesh.y_axis)[axis]
     t, h = q.rule.points[:, None], q.width
     fun = np.zeros((t.size, 9, h.size))
     nodal = np.zeros(h.size + 1)
     if factor is not None:
         # one call on the abscissae and the nodes together
-        f, df = factor(np.concatenate((q.X.ravel(), line.nodes)),
-                       np.concatenate((q.S.ravel(), line.node_sigma)))
+        f, df = factor(np.concatenate((q.X.ravel(), q.line.nodes)),
+                       np.concatenate((q.S.ravel(), q.line.node_sigma)))
         fun[:, _F], fun[:, _DF] = (v[:q.X.size].reshape(q.X.shape) for v in (f, df))
         nodal = f[q.X.size:]
         rise = nodal[1:] - nodal[:-1]

@@ -178,13 +178,13 @@ def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
 
 
 class AxisQuadrature:
-    """A 1-D rule in every cell of one mesh axis (0 for x, 1 for y): the rule,
-    the abscissae X and exact offsets S [point, cell] (axis_abscissae), the
-    cell widths and delta's factor along the axis (DeltaField.axis_factor)."""
+    """A 1-D rule in every cell of the mesh axis `line` (axis 0 for x, 1 for
+    y): the abscissae X and exact offsets S [point, cell] (axis_abscissae),
+    the cell widths and delta's factor there (DeltaField.axis_factor)."""
 
     def __init__(self, mesh: ShishkinMesh2D, axis: int, rule: QuadratureRule,
                  delta_field: DeltaField):
-        line = (mesh.x_axis, mesh.y_axis)[axis]
+        self.line = line = (mesh.x_axis, mesh.y_axis)[axis]
         self.rule = rule
         self.X, self.S = axis_abscissae(line, rule.points)
         self.width = line.cell_width

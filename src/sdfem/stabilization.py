@@ -48,6 +48,7 @@ class DeltaField:
             scale = scale * np.clip((line.transition_point - X) / line.H, 0.0, 1.0)
         return np.where(line.cell_kind != FINE, scale, 0.0)
 
+
 def admissible_cstar(problem, mesh: ShishkinMesh2D) -> float:
     """Largest C* for which the sufficient coercivity condition holds.
 

@@ -187,21 +187,22 @@ class TestPointBatching:
         def scaled(*shape):
             return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
-        _, m = bench(N=N, eps=1e-4)
+        _, mesh = bench(N=N, eps=1e-4)
         rule = QuadratureRule(points=QuadratureRule.gauss(Q).points, weights=scaled(Q))
-        q = discretization.AxisQuadrature(m, 0, rule, DeltaField(DeltaVariant.MODIFIED, 0.5))
-        q.delta = scaled(Q, N)
+        q = discretization.AxisQuadrature(mesh, 0, rule, DeltaField(DeltaVariant.MODIFIED, 0.5))
         fun = scaled(Q, 4, N)
         pairs = [(0, 0), (0, 3), (2, 1), (3, 2)]
-        plain, weighted = q.sums(fun, pairs)
-        for r, (mm, k) in enumerate(pairs):
-            expect_plain, expect_weighted = np.zeros(N), np.zeros(N)
-            for a in range(Q):
-                wf = rule.weights[a] * fun[a, mm]
-                expect_plain += wf * fun[a, k]
-                expect_weighted += wf * q.delta[a] * fun[a, k]
-            assert np.array_equal(plain[r], expect_plain)
-            assert np.array_equal(weighted[r], expect_weighted)
+        for delta in (scaled(Q, N), scaled(N)):  # varying on a cell, or constant
+            q.delta = delta
+            plain, weighted = q.sums(fun, pairs)
+            for r, (m, k) in enumerate(pairs):
+                expect_plain, expect_weighted = np.zeros(N), np.zeros(N)
+                for a in range(Q):
+                    wf = rule.weights[a] * fun[a, m]
+                    expect_plain += wf * fun[a, k]
+                    expect_weighted += wf * np.broadcast_to(delta, (Q, N))[a] * fun[a, k]
+                assert np.array_equal(plain[r], expect_plain)
+                assert np.array_equal(weighted[r], expect_weighted)
 
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
