@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import AxisQuadrature, QuadratureRule, cell_points
+from .discretization import AxisQuadrature, QuadratureRule, axis_abscissae
 from .mesh import RegionSel, ShishkinMesh2D
 from .problem import ProblemSpec
 from .stabilization import DeltaField
@@ -117,12 +117,14 @@ _E_Y = ((_R, _DF, None), (_I, _DR, None), (_P0, _DP1, _C01), (_P1, _DP1, _C11))
 
 @functools.lru_cache(maxsize=8)
 def _parts(use_exact: bool, b1: float, b2: float):
-    """The x and y lists of pairs (m, k), m <= k, of per-axis functions and
-    the gradient, L2 and streamline parts of the norms. Each part is the sum
-    of the squares of some fields, each a sum of weighted terms (b1 for
-    e_x's and b2 for e_y's in the streamline derivative, else 1), expanded
-    into pairs of terms, each pair as (multiplicity times its terms'
-    weights, x pair, y pair), an axis's pair by its position in its list,
+    """The pairs (m, k), m <= k, of per-axis functions whose Gauss sums the
+    norms need, as [axis][weighted] lists (the x and the y axis, each plain
+    and weighted by delta), and the gradient, L2 and streamline parts of
+    the norms. Each part is the sum of the squares of some fields, each a
+    sum of weighted terms (b1 for e_x's and b2 for e_y's in the streamline
+    derivative, else 1), expanded into pairs of terms, each pair as
+    (multiplicity times its terms' weights, x pair, y pair), an axis's pair
+    by its position in the list of the axis and of the part's weighting,
     and grouped into rows by the feature of xi a pair carries: () for two
     of eta's terms, (k,) for one of eta's and xi's term k, (k, l) with
     k <= l for xi's terms k and l. Pairs whose plain integral vanishes by
@@ -133,7 +135,7 @@ def _parts(use_exact: bool, b1: float, b2: float):
     def field(*sums):  # the kept terms of (terms, weight) sums, each with its weight
         return tuple((*t, w) for terms, w in sums for t in terms if use_exact or t[2] is not None)
 
-    axis_pairs = ({}, {})
+    x_pairs, y_pairs = ({}, {}), ({}, {})  # plain and weighted
     parts = []
     for fields, weighted in (((field((_E_X, 1.0)), field((_E_Y, 1.0))), False),
                              ((field((_E, 1.0)),), False),
@@ -148,22 +150,23 @@ def _parts(use_exact: bool, b1: float, b2: float):
                         continue
                     feature = tuple(sorted(c for c in (c1, c2) if c is not None))
                     x, y = (pairs.setdefault(tuple(sorted(pair)), len(pairs)) for pairs, pair
-                            in zip(axis_pairs, ((x1, x2), (y1, y2))))
+                            in ((x_pairs[weighted], (x1, x2)), (y_pairs[weighted], (y1, y2))))
                     groups.setdefault(feature, []).append(((2 if m else 1) * w1 * w2, x, y))
         ends = np.cumsum([len(pairs) for pairs in groups.values()])
         rows = [(feature, slice(end - len(pairs), end))
                 for (feature, pairs), end in zip(groups.items(), ends)]
         mult, x, y = map(np.array, zip(*sum(groups.values(), [])))
         parts.append((weighted, mult, x, y, rows))
-    return [np.array(list(pairs)) for pairs in axis_pairs], parts
+    return [[tuple(pairs) for pairs in lists] for lists in (x_pairs, y_pairs)], parts
 
 
-def _axis_sums(mesh: ShishkinMesh2D, axis: int, delta_field: DeltaField, factor, pairs):
+def _axis_sums(mesh: ShishkinMesh2D, axis: int, delta_field: DeltaField, factor,
+               plain_pairs, weighted_pairs):
     """The Gauss sums over every cell of axis `axis` (0 for x, 1 for y) of
-    the products of its pairs of per-axis functions (_F ... _P0), [pair,
-    cell], one plain and one weighted by delta's factor, and the factor of
-    u at the nodes. Without the exact solution's factor (None) the
-    functions of u stay zero, and so do the nodal values."""
+    the products of pairs of per-axis functions (_F ... _P0), [pair, cell],
+    plain for `plain_pairs` and weighted by delta's factor for
+    `weighted_pairs`, and the factor of u at the nodes. Without the exact
+    solution's factor (None) those functions and nodal values stay zero."""
     q = AxisQuadrature(mesh, axis, QuadratureRule.gauss(ERROR_ORDER), delta_field)
     t, h = q.rule.points[:, None], q.width
     fun = np.zeros((t.size, 9, h.size))
@@ -181,7 +184,7 @@ def _axis_sums(mesh: ShishkinMesh2D, axis: int, delta_field: DeltaField, factor,
     fun[:, _P1] = t - 0.5
     fun[:, _DP1] = 1.0 / h
     fun[:, _P0] = 0.5
-    plain, weighted = q.sums(fun, pairs)
+    plain, weighted = q.sums(fun, plain_pairs, weighted_pairs)
     return (plain * h, weighted * h), nodal
 
 
@@ -229,7 +232,7 @@ class ErrorComputation:
         axis_pairs, parts = _parts(use_exact, problem.b1, problem.b2)
         factors = (None, None) if exact is None else (exact.x_factor, exact.y_factor)
         (x_sums, nodal_x), (y_sums, nodal_y) = (
-            _axis_sums(mesh, axis, delta_field, factor, pairs)
+            _axis_sums(mesh, axis, delta_field, factor, *pairs)
             for axis, (factor, pairs) in enumerate(zip(factors, axis_pairs)))
 
         # xi at the nodes, node (i, j) at [j, i] (-u_h without u, which the
@@ -353,22 +356,19 @@ def pointwise_error_grid(
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be >= 1")
     exact = problem.require_exact()
-    s = samples_per_cell
-    corners = u_h.corner_values()
-    # centres of an s x s split of each cell: the composite midpoint rule
-    midpoints = QuadratureRule(points=(np.arange(s) + 0.5) / s, weights=np.full(s, 1.0 / s))
-    p = cell_points(u_h.mesh, midpoints)
-    shape = p.weight.shape
+    mesh, c = u_h.mesh, u_h.corner_values()
+    # centres of an s x s split of each cell (the composite midpoint rule),
+    # laid out [sub-point b, sub-point a, j, i]: sub-points x fastest
+    points = (np.arange(samples_per_cell) + 0.5) / samples_per_cell
+    (X, SX), (Y, SY) = (axis_abscissae(axis, points) for axis in (mesh.x_axis, mesh.y_axis))
+    X, SX, Y, SY = X[None, :, None], SX[None, :, None], Y[:, None, :, None], SY[:, None, :, None]
+    a, b = points[:, None, None], points[:, None, None, None]
+    nx, ny = (1.0 - a, a), (1.0 - b, b)
+    value = (c[0] * nx[0] * ny[0] + c[1] * nx[1] * ny[0]
+             + c[2] * nx[1] * ny[1] + c[3] * nx[0] * ny[1])
 
-    def flat(a):
-        # [ia, ib, j, i] -> [ib, ia, j, i]: sub-points x fastest
-        return np.broadcast_to(a, shape).transpose(1, 0, 2, 3).ravel()
+    def flat(v):
+        return np.broadcast_to(v, value.shape).ravel()
 
-    return ErrorGrid(
-        x=flat(p.X),
-        y=flat(p.Y),
-        sigma_x=flat(p.SX),
-        sigma_y=flat(p.SY),
-        abs_error=flat(np.abs(np.asarray(exact.value(p.X, p.Y, p.SX, p.SY))
-                              - p.value(corners))),
-    )
+    return ErrorGrid(x=flat(X), y=flat(Y), sigma_x=flat(SX), sigma_y=flat(SY),
+                     abs_error=flat(np.abs(np.asarray(exact.value(X, Y, SX, SY)) - value)))

@@ -1,6 +1,5 @@
-"""Q1 finite element machinery: the per-axis quadrature kernel, the
-cell-point kernel (geometry and basis at reference points of a block of
-cell rows and columns) and assembly of the stabilized system.
+"""Q1 finite element machinery: the per-axis quadrature kernel and
+assembly of the stabilized system.
 
 The matrix is built from a table of cell classes. The coefficients are
 constants, so a cell's element matrix depends only on its two widths and on
@@ -10,10 +9,12 @@ quadrature abscissae are bit-equal form one class: on a Shishkin mesh
 coarse and fine for the standard delta, and for the modified one also the
 last coarse strip, where the factor ramps down; more on a mesh that breaks
 that pattern. The element matrices are computed once, on one
-representative cell per pair of a row class and a column class. Each
-interior node's column of the matrix is summed from the element matrices
-of its four cells' classes, and the CSC matrix is gathered from those
-columns. Every entry goes through the floating-point operations, in the
+representative cell per pair of a row class and a column class, all in
+one expression (_element_matrices) from the per-axis layouts that key the
+classes: the cell widths and delta's factors, with the hat function's
+halves along each axis. Each interior node's column of the matrix is
+summed from the element matrices of its four cells' classes, and the CSC
+matrix is gathered from those columns. Every entry goes through the floating-point operations, in the
 order, of a cell-by-cell assembly, so the matrix is bit-identical to one.
 
 The dofs are numbered in nested-dissection order (nested_dissection), a
@@ -93,88 +94,23 @@ class SparseSystem:
     rhs_time: float | None = None  # wall time of assemble_system's right-hand side stage
 
 
-@dataclass(frozen=True)
-class CellPoint:
-    """Every point (a, b) of a tensor rule on [0, 1]^2 mapped into every
-    cell of a block of R cell rows and C cell columns (R = C = N for the
-    whole mesh).
-
-    Point (ia, ib) of the cell in the block's row r and column s sits at
-    index [ia, ib, r, s] of a (Qa, Qb, R, C) array. The x-axis arrays X
-    and SX have shape (Qa, 1, 1, C), the y-axis arrays Y and SY shape
-    (1, Qb, R, 1), so a field of (X, Y) is evaluated on Qa*C + Qb*R
-    abscissae and broadcast; WX is (1, C), WY (R, 1) and weight
-    (Qa, Qb, R, C). The basis function of corner LOCAL_NODES[k] = (di, dj)
-    is nx[di] * ny[dj], nx holding (Qa, 1, 1, 1) and ny (1, Qb, 1, 1)
-    arrays; its physical gradient is (dphi_da[k] / WX, dphi_db[k] / WY).
-    """
-
-    X: np.ndarray
-    Y: np.ndarray
-    SX: np.ndarray  # exact offsets 1 - X
-    SY: np.ndarray
-    WX: np.ndarray  # cell widths, the scaling of the reference derivatives
-    WY: np.ndarray
-    weight: np.ndarray  # quadrature weight times cell area
-    nx: tuple  # 1-D factors (1 - a, a)
-    ny: tuple  # 1-D factors (1 - b, b)
-
-    @property
-    def phi(self) -> tuple:
-        return tuple(self.nx[di] * self.ny[dj] for di, dj in LOCAL_NODES)
-
-    @property
-    def dphi_da(self) -> tuple:
-        return tuple((-1.0, 1.0)[di] * self.ny[dj] for di, dj in LOCAL_NODES)
-
-    @property
-    def dphi_db(self) -> tuple:
-        return tuple(self.nx[di] * (-1.0, 1.0)[dj] for di, dj in LOCAL_NODES)
-
-    def basis_gradients(self):
-        """Physical gradients (gx, gy) of the four basis functions."""
-        return [d / self.WX for d in self.dphi_da], [d / self.WY for d in self.dphi_db]
-
-    def value(self, c):
-        """Value of the Q1 function with per-cell corner values c
-        (LOCAL_NODES order)."""
-        nx, ny = self.nx, self.ny
-        return (c[0] * nx[0] * ny[0] + c[1] * nx[1] * ny[0]
-                + c[2] * nx[1] * ny[1] + c[3] * nx[0] * ny[1])
-
-
 def point_sum(values: np.ndarray) -> np.ndarray:
-    """Sum a (Qa, Qb, R, C) array over its points, one after the other in
-    CellPoint order (ia outermost), as a per-point loop would. numpy adds
-    along the leading axis in order whenever R * C > 1, which every block
-    of class representatives (at least two classes per axis) has."""
+    """Sum a (Qa, Qb, ...) array over its points, one after the other (ia
+    outermost), as a per-point loop would. In C order (a copy where it is
+    not) the points are the outermost axis, and with more than one entry
+    behind each point (the element matrices' k and l alone hold 16) numpy
+    adds along it in order, never pairwise."""
+    values = np.ascontiguousarray(values)
     return np.add.reduce(values.reshape(-1, *values.shape[2:]), axis=0)
 
 
-def axis_abscissae(axis, points: np.ndarray, cells=slice(None)):
-    """The reference points `points` of [0, 1] mapped into the cells `cells`
-    (a slice or an index array) of a mesh axis: the abscissae and their
-    exact offsets 1 - x, each [point, cell]. Only the axis's arrays are
-    indexed, so a cell gets the same operations in any block. Offsets come
-    from the exact cell offsets, not from 1 - x, so layer-cell points stay
-    distinct down to eps = 1e-16."""
-    step = points[:, None] * axis.cell_width[cells]
-    return axis.cell_left[cells] + step, axis.cell_sigma_left[cells] - step
-
-
-def cell_points(mesh: ShishkinMesh2D, rule: QuadratureRule,
-                rows=slice(None), cols=slice(None)) -> CellPoint:
-    """Map the tensor points of `rule` into every cell of the cell rows
-    `rows` and columns `cols` (slices or index arrays), all points of the
-    block in one CellPoint, from the abscissae of each axis."""
-    X, SX = axis_abscissae(mesh.x_axis, rule.points, cols)
-    Y, SY = axis_abscissae(mesh.y_axis, rule.points, rows)
-    WX, WY = mesh.x_axis.cell_width[None, cols], mesh.y_axis.cell_width[rows, None]
-    a, b = rule.points[:, None, None, None], rule.points[None, :, None, None]
-    return CellPoint(X=X[:, None, None, :], Y=Y[None, :, :, None],
-                     SX=SX[:, None, None, :], SY=SY[None, :, :, None], WX=WX, WY=WY,
-                     weight=np.multiply.outer(rule.weights, rule.weights)[:, :, None, None]
-                     * (WX * WY), nx=(1.0 - a, a), ny=(1.0 - b, b))
+def axis_abscissae(axis, points: np.ndarray):
+    """The reference points `points` of [0, 1] mapped into every cell of a
+    mesh axis: the abscissae and their exact offsets 1 - x, each [point,
+    cell]. Offsets come from the exact cell offsets, not from 1 - x, so
+    layer-cell points stay distinct down to eps = 1e-16."""
+    step = points[:, None] * axis.cell_width
+    return axis.cell_left + step, axis.cell_sigma_left - step
 
 
 class AxisQuadrature:
@@ -190,18 +126,49 @@ class AxisQuadrature:
         self.width = line.cell_width
         self.delta = delta_field.axis_factor(mesh, axis, self.X)
 
-    def sums(self, fun: np.ndarray, pairs):
+    def sums(self, fun: np.ndarray, plain_pairs, weighted_pairs):
         """The Gauss sums over every cell of the products fun[:, m] *
-        fun[:, k], (m, k) in `pairs`, of per-axis functions at the
-        abscissae, fun [point, function, cell]: plain and weighted by
-        delta's factor, two [pair, cell] arrays of sums on the reference
-        cell (times the cell width, integrals). Each is (w * F)[* delta] * G
-        added over the points in order, without BLAS, so its bits do not
-        depend on the BLAS build."""
-        m, k = np.transpose(pairs)
+        fun[:, k] of per-axis functions at the abscissae, fun [point,
+        function, cell]: plain for (m, k) in `plain_pairs` and weighted by
+        delta's factor for (m, k) in `weighted_pairs`, two [pair, cell]
+        arrays of sums on the reference cell (times the cell width,
+        integrals). Each is (w * F)[* delta] * G added over the points in
+        order, without BLAS, so its bits do not depend on the BLAS build."""
         wf = self.rule.weights[:, None, None] * fun
-        wfd, g = wf * self.delta[..., None, :], fun[:, k]
-        return np.add.reduce(wf[:, m] * g, axis=0), np.add.reduce(wfd[:, m] * g, axis=0)
+        (m, k), (wm, wk) = np.transpose(plain_pairs), np.transpose(weighted_pairs)
+        return (np.add.reduce(wf[:, m] * fun[:, k], axis=0),
+                np.add.reduce(wf[:, wm] * self.delta[..., None, :] * fun[:, wk], axis=0))
+
+
+def _element_matrices(rule: QuadratureRule, wx: np.ndarray, wy: np.ndarray, dv,
+                      eps: float, b1: float, b2: float, c: float) -> np.ndarray:
+    """The element matrices [k, l, row, column] of the cells of widths
+    wx[column] by wy[row], with delta dv at the points of `rule`, dv
+    broadcast to [point a, point b, k, l, row, column]: entry (k, l) is
+    a_SD(phi_l, phi_k) on the cell. The basis function of corner
+    LOCAL_NODES[k] = (di, dj) is the product of the hat halves (1 - t, t)
+    [di] along x and [dj] along y; its gradient takes the slope -1 or +1 of
+    a half over the cell width. The form is evaluated once, with k and l
+    broadcast, and its points are added in order (point_sum), so every
+    entry gets the operations of a loop over (k, l) that adds each
+    entry's point sum to zero."""
+    t, w = rule.points, rule.weights
+    di, dj = np.transpose(LOCAL_NODES)
+    halves, slopes = np.array([1.0 - t, t]), np.array([-1.0, 1.0])
+    # function k laid out along axis 2; swapping axes 2 and 3 lays it out as l
+    nx = halves[di].T[:, None, :, None, None, None]
+    ny = halves[dj].T[None, :, :, None, None, None]
+    slope_x, slope_y = (s[:, None, None, None] for s in (slopes[di], slopes[dj]))
+    phi = nx * ny
+    gx, gy = slope_x * ny / wx, nx * slope_y / wy[:, None]
+    conv = b1 * gx + b2 * gy
+    resid = (conv + c * phi).swapaxes(2, 3)
+    weight = np.multiply.outer(w, w)[:, :, None, None, None, None] * (wx * wy[:, None])
+    return 0.0 + point_sum(weight * (
+        eps * (gx.swapaxes(2, 3) * gx + gy.swapaxes(2, 3) * gy)
+        + resid * phi
+        + resid * dv * conv
+    ))
 
 
 @functools.cache
@@ -288,21 +255,11 @@ def assemble_system(
     (rep_cols, col_class), (rep_rows, row_class) = (_cell_classes(q.width, q.delta)
                                                     for q in (xq, yq))
 
-    # element matrices of one representative cell per (row, column) class
-    Aloc = np.zeros((4, 4, rep_rows.size, rep_cols.size))
-    p = cell_points(mesh, rule, rep_rows, rep_cols)
-    phi = p.phi
-    gx, gy = p.basis_gradients()
-    dv = xq.delta[..., None, None, rep_cols] * yq.delta[..., rep_rows, None]
-    conv = [b1 * gx[l] + b2 * gy[l] for l in range(4)]
-    resid = [conv[l] + c * phi[l] for l in range(4)]
-    for k in range(4):
-        for l in range(4):
-            Aloc[k, l] += point_sum(p.weight * (
-                eps * (gx[l] * gx[k] + gy[l] * gy[k])
-                + resid[l] * phi[k]
-                + resid[l] * dv * conv[k]
-            ))
+    # element matrices of one representative cell per (row, column) class,
+    # delta laid out as [point a, point b, k, l, row class, column class]
+    dv = (xq.delta[..., None, None, None, None, rep_cols]
+          * yq.delta[..., None, None, rep_rows, None])
+    Aloc = _element_matrices(rule, xq.width[rep_cols], yq.width[rep_rows], dv, eps, b1, b2, c)
 
     # Node (i, j) is corner l = (di, dj) of cell (i - di, j - dj), so the
     # corner-l cells of the interior nodes are the [1-dj:N-dj, 1-di:N-di]
@@ -363,9 +320,10 @@ def assemble_system(
         fun[:, T], fun[:, T + 1], fun[:, T + 2] = 1.0 - t, t, 1.0
         for i, f in enumerate(factors):
             fun[:, i] = f(q.X, q.S)
-        plain, weighted = (s.reshape(T, 3, N) for s in
-                           q.sums(fun, [(i, T + h) for i in range(T) for h in range(3)]))
-        mass, dmass = plain[:, :2] * q.width, weighted[:, :2] * q.width
+        plain, weighted = q.sums(fun, [(i, T + h) for i in range(T) for h in range(2)],
+                                 [(i, T + h) for i in range(T) for h in range(3)])
+        plain, weighted = plain.reshape(T, 2, N), weighted.reshape(T, 3, N)
+        mass, dmass = plain * q.width, weighted[:, :2] * q.width
         slope = weighted[:, 2]
         # node i is the right corner of cell i - 1 and the left one of cell i
         loads.append((mass[:, 1, :-1] + mass[:, 0, 1:], dmass[:, 1, :-1] + dmass[:, 0, 1:],

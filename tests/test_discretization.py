@@ -20,7 +20,6 @@ from sdfem.discretization import (
     QuadratureOrderTooLow,
     QuadratureRule,
     assemble_system,
-    cell_points,
     nested_dissection,
 )
 from sdfem.mesh import AxisSpec, RegionSel, build_mesh
@@ -34,40 +33,23 @@ def bench(N=4, eps=0.1):
     return p, m
 
 
-def one_cell_mesh(h):
-    """Duck-typed mesh with the single cell [0, h]^2."""
-    axis = SimpleNamespace(cell_width=np.array([h]), cell_left=np.array([0.0]),
-                           cell_sigma_left=np.array([1.0]))
-    return SimpleNamespace(N=1, x_axis=axis, y_axis=axis)
-
-
-def reference_point(a, b):
-    """Basis values and reference derivatives at the reference point (a, b)
-    on the unit cell: point [0, 1] of the rule with points (a, b), x
-    outermost."""
-    rule = QuadratureRule(points=np.array([a, b]), weights=np.ones(2))
-    p = cell_points(one_cell_mesh(1.0), rule)
-    return SimpleNamespace(**{
-        name: tuple(float(np.broadcast_to(v, (2, 2, 1, 1))[0, 1, 0, 0])
-                    for v in getattr(p, name))
-        for name in ("phi", "dphi_da", "dphi_db")})
+def one_cell_matrix(h, eps, b, c):
+    """The element matrix of the cell [0, h]^2 with b1 = b2 = b and delta =
+    0, under the 2-point Gauss rule, which integrates its Q1 products
+    exactly."""
+    h = np.array([h])
+    return discretization._element_matrices(QuadratureRule.gauss(2), h, h, 0.0,
+                                            eps, b, b, c)[:, :, 0, 0]
 
 
 class TestShapeFunctions:
-    def test_center_values(self):
-        assert np.allclose(reference_point(0.5, 0.5).phi, 0.25)
-
-    def test_nodal_property(self):
-        for k, (di, dj) in enumerate(LOCAL_NODES):
-            p = reference_point(float(di), float(dj))
-            assert np.array_equal(p.phi, np.eye(4)[k])
-
-    def test_partition_of_unity(self):
-        rng = np.random.default_rng(1)
-        for a, b in rng.uniform(0, 1, size=(10, 2)):
-            p = reference_point(a, b)
-            assert float(np.sum(p.phi)) == pytest.approx(1.0, rel=1e-14)
-            assert abs(sum(p.dphi_da)) <= 1e-14 and abs(sum(p.dphi_db)) <= 1e-14
+    def test_mass_closed_form(self):
+        # c * (phi_l, phi_k) on a square cell: the product of the 1-D hat
+        # mass matrices h/6 [[2, 1], [1, 2]] in x and y
+        expect = np.array([[4, 2, 1, 2], [2, 4, 2, 1], [1, 2, 4, 2], [2, 1, 2, 4]]) / 36
+        for h in (1.0, 0.25, 1e-3):
+            assert np.allclose(one_cell_matrix(h, 0.0, 0.0, 1.0), h * h * expect,
+                               rtol=1e-14, atol=0.0)
 
     def test_quadrature_rule(self):
         with pytest.raises(QuadratureOrderTooLow):
@@ -108,29 +90,18 @@ def rows_touching(m, mask):
             if 1 <= c % N + di <= N - 1 and 1 <= c // N + dj <= N - 1}
 
 
-class TestCellPoints:
-    def test_broadcast_layout(self):
-        # x-axis arrays are (Qa, 1, 1, N), y-axis arrays (1, Qb, R, 1); at
-        # eps = 1e-16 the layer-cell offsets come from the exact cell
+class TestAxisAbscissae:
+    @pytest.mark.parametrize("name", ["x_axis", "y_axis"])
+    def test_layer_offsets_exact(self, name):
+        # at eps = 1e-16 the layer-cell offsets come from the exact cell
         # offsets and stay > 0
         _, m = bench(N=8, eps=1e-16)
-        N, half = m.N, m.N // 2
-        ax, ay = m.x_axis, m.y_axis
-        rule = QuadratureRule.gauss(3)
-        p = cell_points(m, rule, slice(2, 7))
-        assert p.X.shape == p.SX.shape == (3, 1, 1, N)
-        assert p.Y.shape == p.SY.shape == (1, 3, 5, 1)
-        assert p.WX.shape == (1, N) and p.WY.shape == (5, 1)
-        assert p.weight.shape == (3, 3, 5, N)
-        assert [v.shape for v in p.nx] == [(3, 1, 1, 1)] * 2
-        assert [v.shape for v in p.ny] == [(1, 3, 1, 1)] * 2
-        p = cell_points(m, rule)
-        for ia, a in enumerate(rule.points):
-            for ib, b in enumerate(rule.points):
-                sx = ax.cell_sigma_left[half:] - a * ax.cell_width[half:]
-                sy = ay.cell_sigma_left[half:] - b * ay.cell_width[half:]
-                assert np.array_equal(p.SX[ia, 0, 0, half:], sx) and np.all(sx > 0.0)
-                assert np.array_equal(p.SY[0, ib, half:, 0], sy) and np.all(sy > 0.0)
+        axis, half = getattr(m, name), m.N // 2
+        points = QuadratureRule.gauss(3).points
+        _, S = discretization.axis_abscissae(axis, points)
+        for ia, a in enumerate(points):
+            sigma = axis.cell_sigma_left[half:] - a * axis.cell_width[half:]
+            assert np.array_equal(S[ia, half:], sigma) and np.all(sigma > 0.0)
 
 
 class TestRowStrips:
@@ -168,11 +139,17 @@ class TestRowStrips:
 
 
 class TestPointBatching:
-    def test_point_sum_adds_in_point_order(self):
-        # the per-point loop it replaces: zero, then point (ia, ib) in order
+    @pytest.mark.parametrize("points_inner", [False, True])
+    def test_point_sum_adds_in_point_order(self, points_inner):
+        # the per-point loop it replaces: zero, then point (ia, ib) in order;
+        # also where the points are the innermost axes in memory, which
+        # numpy would sum pairwise
         rng = np.random.default_rng(5)
-        values = rng.standard_normal((5, 5, 3, 8)) * 10.0 ** rng.uniform(-8, 8, (5, 5, 3, 8))
-        expect = np.zeros((3, 8))
+        shape = (4, 4, 1, 1, 5, 5) if points_inner else (5, 5, 4, 4, 3, 8)
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        if points_inner:
+            values = values.transpose(4, 5, 0, 1, 2, 3)
+        expect = np.zeros(values.shape[2:])
         for ia in range(5):
             for ib in range(5):
                 expect += values[ia, ib]
@@ -191,18 +168,21 @@ class TestPointBatching:
         rule = QuadratureRule(points=QuadratureRule.gauss(Q).points, weights=scaled(Q))
         q = discretization.AxisQuadrature(mesh, 0, rule, DeltaField(DeltaVariant.MODIFIED, 0.5))
         fun = scaled(Q, 4, N)
-        pairs = [(0, 0), (0, 3), (2, 1), (3, 2)]
+        plain_pairs, weighted_pairs = [(0, 0), (0, 3), (2, 1)], [(3, 2), (0, 3)]
         for delta in (scaled(Q, N), scaled(N)):  # varying on a cell, or constant
             q.delta = delta
-            plain, weighted = q.sums(fun, pairs)
-            for r, (m, k) in enumerate(pairs):
-                expect_plain, expect_weighted = np.zeros(N), np.zeros(N)
-                for a in range(Q):
-                    wf = rule.weights[a] * fun[a, m]
-                    expect_plain += wf * fun[a, k]
-                    expect_weighted += wf * np.broadcast_to(delta, (Q, N))[a] * fun[a, k]
-                assert np.array_equal(plain[r], expect_plain)
-                assert np.array_equal(weighted[r], expect_weighted)
+            plain, weighted = q.sums(fun, plain_pairs, weighted_pairs)
+            assert plain.shape == (3, N) and weighted.shape == (2, N)
+            for sums, pairs, d in ((plain, plain_pairs, None),
+                                   (weighted, weighted_pairs, np.broadcast_to(delta, (Q, N)))):
+                for r, (m, k) in enumerate(pairs):
+                    expect = np.zeros(N)
+                    for a in range(Q):
+                        wf = rule.weights[a] * fun[a, m]
+                        if d is not None:
+                            wf = wf * d[a]
+                        expect += wf * fun[a, k]
+                    assert np.array_equal(sums[r], expect)
 
     @pytest.mark.parametrize("N", [8, 512])
     def test_fields_evaluated_once_per_strip(self, monkeypatch, N):
@@ -332,12 +312,7 @@ class TestElementalMatrices:
         # stiffness of the bilinear element for -Lap on a square cell is
         # h-independent: diagonal 2/3, edge neighbors -1/6, opposite -1/3
         for h in (1.0, 0.25, 1e-3):
-            K = np.zeros((4, 4))
-            p = cell_points(one_cell_mesh(h), QuadratureRule.gauss(2))
-            gx, gy = p.basis_gradients()
-            for k in range(4):
-                for l in range(4):
-                    K[k, l] = np.sum(p.weight * (gx[k] * gx[l] + gy[k] * gy[l]))
+            K = one_cell_matrix(h, 1.0, 0.0, 0.0)
             expect = np.array(
                 [
                     [2 / 3, -1 / 6, -1 / 3, -1 / 6],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import delta_at
-from sdfem.discretization import QuadratureRule, cell_points
+from sdfem.discretization import QuadratureRule, axis_abscissae
 from sdfem.mesh import AxisSpec, RegionSel, build_mesh
 from sdfem.problem import make_benchmark
 from sdfem.stabilization import DeltaField, DeltaVariant, admissible_cstar
@@ -28,10 +28,10 @@ def delta_on_omega_s(d, m, x, y):
 
 def delta_on_cells(d, m, rule):
     """delta at every point of `rule` in every cell, (Qa, Qb, N, N)."""
-    p = cell_points(m, rule)
-    dx = d.axis_factor(m, 0, p.X[:, 0, 0])
-    dy = d.axis_factor(m, 1, p.Y[0, :, :, 0])
-    return np.broadcast_to(dx[..., None, None, :] * dy[..., :, None], p.weight.shape)
+    q, N = rule.points.size, m.N
+    dx = d.axis_factor(m, 0, axis_abscissae(m.x_axis, rule.points)[0])
+    dy = d.axis_factor(m, 1, axis_abscissae(m.y_axis, rule.points)[0])
+    return np.broadcast_to(dx[..., None, None, :] * dy[..., :, None], (q, q, N, N))
 
 
 class TestRamps:
@@ -112,7 +112,7 @@ class TestVectorizedEvaluation:
         # cell-driven form must still return zero there
         _, m = bench(N=64, eps=1e-16)
         layer = m.N // 2
-        X = cell_points(m, QuadratureRule.gauss(3)).X[:, 0, 0]
+        X, _ = axis_abscissae(m.x_axis, QuadratureRule.gauss(3).points)
         # the rounded abscissae of the layer-cell points
         assert np.all(X[:, layer] == m.x_axis.transition_point)
         for variant in DeltaVariant:
@@ -123,15 +123,16 @@ class TestVectorizedEvaluation:
         _, m = bench(N=8, eps=1e-4)
         N = m.N
         for variant in DeltaVariant:
-            p = cell_points(m, QuadratureRule.gauss(3))
+            X, _ = axis_abscissae(m.x_axis, QuadratureRule.gauss(3).points)
+            Y, _ = axis_abscissae(m.y_axis, QuadratureRule.gauss(3).points)
             vecs = delta_on_cells(DeltaField(variant, 0.7), m, QuadratureRule.gauss(3))
             for ia in range(3):
                 for ib in range(3):
                     vec = vecs[ia, ib]
                     for j in range(N):
                         for i in range(N):
-                            want = delta_at(m, variant, 0.7, i, j, float(p.X[ia, 0, 0, i]),
-                                            float(p.Y[0, ib, j, 0]))
+                            want = delta_at(m, variant, 0.7, i, j, float(X[ia, i]),
+                                            float(Y[ib, j]))
                             assert vec[j, i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

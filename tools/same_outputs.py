@@ -17,8 +17,10 @@ The calls are:
   `--solver direct` (LU at N = 8…512, eps 1e-8 and 1e-16, both deltas, so
   that its norms move only with the discretization, never with a solver
   tolerance), `--dump-matrix` at N=8 and, with eps=1e-16, at N=64 for each
-  delta, `sdfem mesh` and `sdfem verify` (by its stdout), all hashed as
-  written (the JSON runs with their wall times dropped);
+  delta, `sdfem grid` at N=64, eps=1e-16 with 3 samples per cell for each
+  delta (the benchmark's grid takes 1), `sdfem mesh` and `sdfem verify`
+  (by its stdout), all hashed as written (the JSON runs and grids with
+  their wall times dropped);
 - `assemble_system` on every N of 4, 8, ..., 512 with every eps of 1e-2,
   1e-4, 1e-8 and 1e-16 that admits a mesh, both deltas and C* of 0.5 and 4
   (116 cases), each as two lines: one hashing the matrix's `data`,
@@ -95,6 +97,11 @@ EXTRA_CALLS = (
      "--dump-matrix", "DIR/matrix.txt", "--out", "DIR/table.csv"),
     ("run", "--N", "64", "--eps", "1e-16", "--delta", "modified",
      "--dump-matrix", "DIR/matrix.txt", "--out", "DIR/table.csv"),
+    # the grid's sub-sampled path (--samples 3 is the CLI default)
+    ("grid", "--N", "64", "--eps", "1e-16", "--delta", "standard", "--samples", "3",
+     "--out", "DIR/grid.json"),
+    ("grid", "--N", "64", "--eps", "1e-16", "--delta", "modified", "--samples", "3",
+     "--out", "DIR/grid.json"),
     ("mesh", "--N", "16", "--eps", "1e-16", "--out", "DIR/mesh.txt"),
     ("verify",),
 )
