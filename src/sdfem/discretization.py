@@ -14,8 +14,9 @@ one expression (_element_matrices) from the per-axis layouts that key the
 classes: the cell widths and delta's factors, with the hat function's
 halves along each axis. Each interior node's column of the matrix is
 summed from the element matrices of its four cells' classes, and the CSC
-matrix is gathered from those columns. Every entry goes through the floating-point operations, in the
-order, of a cell-by-cell assembly, so the matrix is bit-identical to one.
+matrix is gathered from those columns. Every entry goes through the
+floating-point operations, in the order, of a cell-by-cell assembly, so
+the matrix is bit-identical to one.
 
 The dofs are numbered in nested-dissection order (nested_dissection), a
 fill-reducing order, so that both factorizations of the solver read the
@@ -143,15 +144,14 @@ class AxisQuadrature:
 def _element_matrices(rule: QuadratureRule, wx: np.ndarray, wy: np.ndarray, dv,
                       eps: float, b1: float, b2: float, c: float) -> np.ndarray:
     """The element matrices [k, l, row, column] of the cells of widths
-    wx[column] by wy[row], with delta dv at the points of `rule`, dv
-    broadcast to [point a, point b, k, l, row, column]: entry (k, l) is
-    a_SD(phi_l, phi_k) on the cell. The basis function of corner
-    LOCAL_NODES[k] = (di, dj) is the product of the hat halves (1 - t, t)
-    [di] along x and [dj] along y; its gradient takes the slope -1 or +1 of
-    a half over the cell width. The form is evaluated once, with k and l
-    broadcast, and its points are added in order (point_sum), so every
-    entry gets the operations of a loop over (k, l) that adds each
-    entry's point sum to zero."""
+    wx[column] by wy[row], with delta dv at the points of `rule` (dv
+    broadcast to [point a, point b, k, l, row, column]); entry (k, l) is
+    a_SD(phi_l, phi_k). The basis function of corner LOCAL_NODES[k] =
+    (di, dj) is the product of the hat halves (1 - t, t)[di] along x and
+    [dj] along y, its gradient the slope -1 or +1 of a half over the width.
+    The form is evaluated once, with k and l broadcast, and its points are
+    added in order (point_sum), each entry's sum to zero, as a loop over
+    (k, l) would."""
     t, w = rule.points, rule.weights
     di, dj = np.transpose(LOCAL_NODES)
     halves, slopes = np.array([1.0 - t, t]), np.array([-1.0, 1.0])
