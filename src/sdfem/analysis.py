@@ -157,7 +157,7 @@ def _parts(use_exact: bool, b1: float, b2: float):
                 for (feature, pairs), end in zip(groups.items(), ends)]
         mult, x, y = map(np.array, zip(*sum(groups.values(), [])))
         parts.append((weighted, mult, x, y, rows))
-    return [[tuple(pairs) for pairs in lists] for lists in (x_pairs, y_pairs)], parts
+    return [[np.array(list(pairs)) for pairs in lists] for lists in (x_pairs, y_pairs)], parts
 
 
 def _axis_sums(mesh: ShishkinMesh2D, axis: int, delta_field: DeltaField, factor,
